@@ -1,4 +1,4 @@
-.PHONY: build test race verify fuzz bench
+.PHONY: build test race verify fuzz bench flake
 
 build:
 	go build ./...
@@ -22,3 +22,15 @@ fuzz:
 # scale story -> BENCH_scale.json; serving plane -> BENCH_serve.json.
 bench:
 	./scripts/bench.sh
+
+# Flake hunt: N race-detector runs, stopping at the first failure, which is
+# named at the end. make flake N=50 PKG=./internal/rdma/ RUN='^TestLossy'
+N ?= 10
+PKG ?= ./...
+RUN ?= .
+flake:
+	@out=$$(go test -race -count=$(N) -failfast -run '$(RUN)' $(PKG) 2>&1); status=$$?; \
+	echo "$$out" | tail -n 30; \
+	if [ $$status -ne 0 ]; then \
+		echo "flake: failing test(s):"; echo "$$out" | grep -E -e '--- FAIL' | sort -u; \
+	fi; exit $$status

@@ -309,17 +309,19 @@ func (i *Injector) applyCrash(ev Event) {
 			if stopped {
 				return
 			}
-			restart(ev.Crash)
+			// Count before the callback: whoever it unblocks must see
+			// the counter already moved.
 			i.injected[CrashEvent].Add(1)
+			restart(ev.Crash)
 		}))
 	}
 	i.mu.Unlock()
-	if crash != nil {
-		crash(ev.Crash)
-	}
 	i.injected[CrashEvent].Add(1)
 	if i.plan.Metrics != nil {
 		i.plan.Metrics.AddFaultInjected()
+	}
+	if crash != nil {
+		crash(ev.Crash)
 	}
 }
 

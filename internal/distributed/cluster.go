@@ -308,10 +308,11 @@ func (c *Cluster) newServer(task string) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		if st.lossy == nil {
+		lr, ok := st.recv.(*rdma.LossyReceiver)
+		if !ok {
 			return nil, fmt.Errorf("%w: edge %q on %s is not lossy", ErrSetup, key, task)
 		}
-		st.lossy.SetSenderScratch(scratch)
+		lr.SetSenderScratch(scratch)
 		return nil, nil
 	})
 	// Lease pings ride the same vanilla-RPC seam as address distribution
@@ -454,18 +455,23 @@ func (c *Cluster) setupRDMAEdges(res *analyzer.Result) error {
 func (c *Cluster) setupRecvEdge(dst *Server, e analyzer.EdgeSpec) error {
 	if e.Sig.Static {
 		payload := e.Sig.ByteSize()
+		size := rdma.StaticSlotSize(payload)
 		if c.cfg.LossyFabric {
-			mr, err := dst.allocEdgeMR(rdma.LossySlotSize(payload))
-			if err != nil {
-				return fmt.Errorf("edge %s: %w", e.Key, err)
-			}
+			size = rdma.LossySlotSize(payload)
+		}
+		mr, err := dst.allocEdgeMR(size)
+		if err != nil {
+			return fmt.Errorf("edge %s: %w", e.Key, err)
+		}
+		var recv staticReceiver
+		if c.cfg.LossyFabric {
 			ch, release, err := c.chanFor(dst, e.SrcTask)
 			if err != nil {
 				return fmt.Errorf("edge %s: %w", e.Key, err)
 			}
 			defer release()
 			m := dst.Metrics
-			recv, err := rdma.NewLossyReceiver(ch, mr, 0, payload, edgeTensorID(e.Key),
+			lr, err := rdma.NewLossyReceiver(ch, mr, 0, payload, edgeTensorID(e.Key),
 				rdma.LossyReceiverConfig{
 					OnNack: func(int) { m.AddNack() },
 					Source: muxSource(dst),
@@ -473,19 +479,13 @@ func (c *Cluster) setupRecvEdge(dst *Server, e analyzer.EdgeSpec) error {
 			if err != nil {
 				return fmt.Errorf("edge %s: %w", e.Key, err)
 			}
-			dst.Env.mu.Lock()
-			dst.Env.staticRecv[e.Key] = &staticRecvState{spec: e, lossy: recv}
-			dst.Env.mu.Unlock()
-			dst.putDesc(e.Key, recv.Desc().Marshal())
-			return nil
-		}
-		mr, err := dst.allocEdgeMR(rdma.StaticSlotSize(payload))
-		if err != nil {
-			return fmt.Errorf("edge %s: %w", e.Key, err)
-		}
-		recv, err := rdma.NewStaticReceiver(mr, 0, payload)
-		if err != nil {
-			return fmt.Errorf("edge %s: %w", e.Key, err)
+			recv = lr
+		} else {
+			sr, err := rdma.NewStaticReceiver(mr, 0, payload)
+			if err != nil {
+				return fmt.Errorf("edge %s: %w", e.Key, err)
+			}
+			recv = sr
 		}
 		dst.Env.mu.Lock()
 		dst.Env.staticRecv[e.Key] = &staticRecvState{spec: e, recv: recv}
@@ -586,7 +586,7 @@ func (c *Cluster) setupSendEdge(src *Server, e analyzer.EdgeSpec) error {
 				ls.Close()
 				return fmt.Errorf("edge %s nack distribution: %w", e.Key, err)
 			}
-			st.lossy = ls
+			st.sender = ls
 		}
 		src.Env.mu.Lock()
 		src.Env.staticSend[e.Key] = st
@@ -1114,16 +1114,17 @@ func (c *Cluster) teardownEdges() {
 		for _, g := range coalSends {
 			g.failPending(fmt.Errorf("%w: coalesce group %s torn down for edge rebuild", ErrComm, g.key))
 		}
-		// Lossy endpoints own side regions (NACK scratch, staging) outside
-		// the edgeMR list; Close frees them.
+		// A lossy sender owns a NACK block outside the edgeMR list, and a
+		// lossy receiver may still be re-posting a failed ack: Close frees
+		// the one and stops the other.
 		for _, st := range staticSends {
-			if st.lossy != nil {
-				st.lossy.Close()
+			if ls, ok := st.sender.(*rdma.LossySender); ok {
+				ls.Close()
 			}
 		}
 		for _, st := range staticRecvs {
-			if st.lossy != nil {
-				st.lossy.Close()
+			if lr, ok := st.recv.(*rdma.LossyReceiver); ok {
+				lr.Close()
 			}
 		}
 		for _, st := range dynRecvs {

@@ -171,20 +171,32 @@ func newStagingSlot(dev *rdma.Device, dt tensor.DType, shape tensor.Shape) (*sta
 	return &stagingSlot{mr: mr, tensor: t}, nil
 }
 
+// staticSender is a static edge's send protocol: *rdma.StaticSender, or
+// on a lossy fabric (Config.LossyFabric) the *rdma.LossySender policy
+// over it.
+type staticSender interface {
+	SendRetry(rdma.TransferOpts) error
+	SendRetryFrom([]byte, rdma.TransferOpts) error
+}
+
+// staticReceiver is the matching receive side: *rdma.StaticReceiver or
+// *rdma.LossyReceiver.
+type staticReceiver interface {
+	Desc() rdma.StaticSlotDesc
+	Poll() bool
+	Payload() []byte
+	Consume()
+}
+
 type staticSendState struct {
 	spec   analyzer.EdgeSpec
 	slot   *stagingSlot
-	sender *rdma.StaticSender
-	// lossy, when non-nil, wraps sender with the selective-retransmit
-	// protocol (Config.LossyFabric); the send kernels go through it.
-	lossy *rdma.LossySender
+	sender staticSender
 }
 
 type staticRecvState struct {
 	spec analyzer.EdgeSpec
-	recv *rdma.StaticReceiver
-	// lossy replaces recv on a lossy fabric (exactly one of the two is set).
-	lossy *rdma.LossyReceiver
+	recv staticReceiver
 }
 
 type dynSendState struct {

@@ -91,14 +91,9 @@ func (op *rdmaSendOp) ComputeAsync(ctx *graph.Context, done func(error)) {
 	opts.Canceled = ctx.Canceled
 	go func() {
 		var err error
-		switch {
-		case st.lossy != nil && payload != nil:
-			err = st.lossy.SendRetryFrom(payload, opts)
-		case st.lossy != nil:
-			err = st.lossy.SendRetry(opts)
-		case payload != nil:
+		if payload != nil {
 			err = st.sender.SendRetryFrom(payload, opts)
-		default:
+		} else {
 			err = st.sender.SendRetry(opts)
 		}
 		complete(env.edgeErr(op.spec.Key, err))
@@ -128,9 +123,6 @@ func (op *rdmaRecvOp) Poll(ctx *graph.Context) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	if st.lossy != nil {
-		return st.lossy.Poll(), nil
-	}
 	return st.recv.Poll(), nil
 }
 
@@ -144,21 +136,11 @@ func (op *rdmaRecvOp) Compute(ctx *graph.Context) error {
 		return err
 	}
 	// Zero-copy receive: the output tensor aliases the preallocated slot.
-	var payload []byte
-	if st.lossy != nil {
-		payload = st.lossy.Payload()
-	} else {
-		payload = st.recv.Payload()
-	}
-	t, err := tensor.FromBytes(op.spec.Sig.DType, op.spec.Sig.Shape, payload)
+	t, err := tensor.FromBytes(op.spec.Sig.DType, op.spec.Sig.Shape, st.recv.Payload())
 	if err != nil {
 		return err
 	}
-	if st.lossy != nil {
-		st.lossy.Consume()
-	} else {
-		st.recv.Consume()
-	}
+	st.recv.Consume()
 	env.recordRecv(op.spec.Key, t.ByteSize())
 	ctx.Output = t
 	return nil

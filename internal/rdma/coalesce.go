@@ -121,7 +121,7 @@ func (r *CoalescedReceiver) AckRetry(senderAck DynSlotDesc, opts TransferOpts) e
 			return err
 		}
 		defer release()
-		return ch.memcpyAttempt(0, r.ackSrc, senderAck.Off, senderAck.Region,
+		return ch.MemcpySync(0, r.ackSrc, senderAck.Off, senderAck.Region,
 			FlagWordSize, OpWrite)
 	})
 }
@@ -234,12 +234,7 @@ func (s *CoalescedSender) FlushRetry(opts TransferOpts) error {
 			}
 			defer release()
 			done := make(chan error, 1)
-			if err := s.flushOn(ch, func(err error) {
-				select {
-				case done <- err:
-				default:
-				}
-			}); err != nil {
+			if err := s.flushOn(ch, notifyOnce(done)); err != nil {
 				return err
 			}
 			err := <-done

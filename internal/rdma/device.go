@@ -449,11 +449,36 @@ type workRequest struct {
 
 	// tag, when non-nil, marks this write as part of the lossy selective-
 	// retransmit protocol (see retransmit.go): chunk writes become silently
-	// droppable and land via epoch-guarded placement; arm writes publish a
-	// slot's live epoch.
+	// droppable and land via epoch-guarded placement; control words carry
+	// their value inline.
 	tag *writeTag
 
 	cb func(error)
+}
+
+// ChunkTag is the semantic header carried by every tagged chunk write:
+// which tensor, which chunk of it, and which send epoch.
+type ChunkTag struct {
+	TensorID uint64
+	Seq      uint32
+	Epoch    uint64
+}
+
+type tagKind uint8
+
+const (
+	tagChunk tagKind = iota
+	tagWord
+)
+
+// writeTag rides a workRequest into executeTagged: a chunk's header and its
+// slot's guard/arrival offsets, or a control word's inline value.
+type writeTag struct {
+	kind       tagKind
+	tag        ChunkTag
+	guardOff   int // absolute offset of the slot's epoch guard word
+	arrivalOff int // absolute offset of arrival[0]
+	word       uint64
 }
 
 func newQueuePair(d *Device, peer string, cq *completionQueue, depth int) *queuePair {
@@ -578,17 +603,16 @@ func (d *Device) executeTransfer(peer string, wr workRequest) error {
 	return nil
 }
 
-// executeTagged performs a semantically tagged write of the lossy
-// protocol. Arm writes publish the slot's live epoch; chunk writes carry a
-// (tensor-id, chunk-seq, epoch) header, may be silently dropped by the
-// lossy hooks (the completion still succeeds — the emulator's rendering of
-// a packet lost on an unreliable fabric), and otherwise land through the
-// region's epoch-guarded placement, which discards stale-epoch chunks and
-// stamps the per-chunk arrival word the receiver's NACK scan reads.
+// executeTagged performs a tagged write of the lossy protocol. A control
+// word stores its inline value. A chunk may be silently dropped by the
+// lossy hooks (the completion still succeeds — a packet lost on an
+// unreliable fabric) and otherwise lands through the region's
+// epoch-guarded placement, which discards stale chunks and stamps the
+// arrival word the receiver scans.
 func (d *Device) executeTagged(remoteMR *MemRegion, wr workRequest, hooks Hooks) error {
 	t := wr.tag
-	if t.kind == tagArm {
-		return remoteMR.armEpoch(t.guardOff, t.tag.Epoch)
+	if t.kind == tagWord {
+		return remoteMR.storeGuarded(wr.remoteOff, t.word)
 	}
 	if hooks.Lossy && hooks.ChunkDrop != nil && hooks.ChunkDrop(t.tag, wr.size) {
 		return nil // lost on the wire: memory untouched, completion succeeds
@@ -731,6 +755,7 @@ type MemcpyReq struct {
 	Size      int
 	Dir       Op
 	CB        func(error)
+	tag       *writeTag // lossy-protocol chunk or control word (retransmit.go)
 }
 
 // MemcpyBatch posts several transfers with one doorbell ring: every request
@@ -748,6 +773,7 @@ func (c *Channel) MemcpyBatch(reqs []MemcpyReq) error {
 		if err != nil {
 			return err
 		}
+		wr.tag = r.tag
 		wrs[i] = wr
 	}
 	return c.qp.postBatch(wrs)
@@ -760,12 +786,7 @@ func (c *Channel) MemcpyBatch(reqs []MemcpyReq) error {
 func (c *Channel) MemcpySync(localOff int, local *MemRegion, remoteOff int, remote RemoteRegion,
 	size int, dir Op) error {
 	done := make(chan error, 1)
-	if err := c.Memcpy(localOff, local, remoteOff, remote, size, dir, func(err error) {
-		select {
-		case done <- err:
-		default: // duplicated completion
-		}
-	}); err != nil {
+	if err := c.Memcpy(localOff, local, remoteOff, remote, size, dir, notifyOnce(done)); err != nil {
 		return err
 	}
 	return <-done

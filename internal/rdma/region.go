@@ -24,11 +24,11 @@ type MemRegion struct {
 	id   uint32
 	data []byte
 
-	// tagMu serializes epoch arming against tagged-chunk placement for the
-	// lossy selective-retransmit protocol (retransmit.go): a chunk's
-	// guard-epoch check and its placement must be atomic with respect to
-	// re-arming, or a stale retransmit could pass the check and then land
-	// in memory a newer iteration already owns.
+	// tagMu serializes the lossy protocol's guard updates against
+	// tagged-chunk placement (retransmit.go): a chunk's guard check and its
+	// placement must be atomic with respect to retiring its epoch, or a
+	// stale retransmit could pass the check and then land in memory a
+	// newer iteration already owns.
 	tagMu sync.Mutex
 }
 
@@ -125,3 +125,46 @@ func UnmarshalRemoteRegion(buf []byte) (RemoteRegion, error) {
 	r.Size = binary.LittleEndian.Uint64(buf[2+n+4:])
 	return r, nil
 }
+
+// storeGuarded lands one inline control word of the lossy protocol,
+// serialized against placeChunk by tagMu: once the guard is raised past
+// epoch e, no chunk of epoch e can land.
+func (m *MemRegion) storeGuarded(off int, v uint64) error {
+	if !m.wordOK(off) {
+		return fmt.Errorf("rdma: control word at %d of %d-byte region: %w", off, len(m.data), ErrBounds)
+	}
+	m.tagMu.Lock()
+	atomicStore64(m.data, off, v)
+	m.tagMu.Unlock()
+	return nil
+}
+
+// placeChunk lands one tagged chunk iff its epoch is not older than the
+// slot's guard, raising the guard to it; a stale chunk is discarded whole
+// (returns false). So once a chunk of epoch e+1 landed, or the receiver
+// retired epoch e, no epoch-e chunk lands again; one landing earlier is
+// overwritten by its epoch-(e+1) successor before e+1 completes. Guard
+// check, payload stores and arrival stamp happen under tagMu. Payload
+// words move with atomic stores: pollers may read while chunks land.
+func (m *MemRegion) placeChunk(t *writeTag, dstOff int, src []byte) (bool, error) {
+	arrOff := t.arrivalOff + 8*int(t.tag.Seq)
+	if int(t.tag.Seq) >= lossyArrivalWords || !m.wordOK(t.guardOff) || !m.wordOK(arrOff) ||
+		dstOff < 0 || dstOff%8 != 0 || len(src)%8 != 0 || dstOff+len(src) > len(m.data) {
+		return false, fmt.Errorf("rdma: chunk %d [%d,+%d) (guard %d, arrival %d) of %d-byte region: %w",
+			t.tag.Seq, dstOff, len(src), t.guardOff, arrOff, len(m.data), ErrBounds)
+	}
+	m.tagMu.Lock()
+	defer m.tagMu.Unlock()
+	if atomicLoad64(m.data, t.guardOff) > t.tag.Epoch {
+		return false, nil
+	}
+	atomicStore64(m.data, t.guardOff, t.tag.Epoch)
+	for o := 0; o+8 <= len(src); o += 8 {
+		atomicStore64(m.data, dstOff+o, atomicLoad64(src, o))
+	}
+	atomicStore64(m.data, arrOff, t.tag.Epoch)
+	return true, nil
+}
+
+// wordOK reports whether off addresses an aligned word inside the region.
+func (m *MemRegion) wordOK(off int) bool { return off >= 0 && off%8 == 0 && off+8 <= len(m.data) }

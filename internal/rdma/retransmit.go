@@ -4,56 +4,42 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Per-tensor selective retransmit over a lossy fabric.
 //
-// The paper's protocols assume reliable-connected QPs: a write either lands
-// or fails with an error, so recovery is retry-the-whole-transfer. At
-// hyperscale that is the wrong contract twice over (arXiv 2606.20582):
-// RC connection state is O(N²), and connection-level go-back-N replays
-// everything behind one lost packet. This file keeps the §3.2 slot shape
-// but makes loss recovery communication-semantic-aware: every payload
-// chunk carries a (tensor-id, chunk-seq, epoch) header, the receiver
-// tracks per-chunk arrival and NACKs exactly the missing set, and the
-// sender retransmits only those chunks — never the connection, never the
-// tensor, and never into an iteration that has moved on (the epoch guard
-// discards stale chunks atomically with respect to re-arming).
+// Reliable-connected QPs recover by replaying the transfer; at hyperscale
+// that go-back-N replays everything behind one lost packet (arXiv
+// 2606.20582). Here every payload chunk carries a (tensor-id, chunk-seq,
+// epoch) header, the receiver NACKs exactly the chunks it lost, and the
+// sender re-sends only those, never into an iteration that moved on (an
+// epoch guard discards stale chunks, see placeChunk).
 //
-// Wire discipline: only tagged *chunk* writes get datagram semantics
-// (silently droppable via Hooks.Lossy/ChunkDrop). Everything else — the
-// epoch arm, the retransmit descriptor, NACKs, completion acks, and all
-// legacy protocols — is a thin reliable control plane: those writes keep
-// error-based completion, and each control word moves as its own 8-byte
-// write (a single atomic store in orderedCopy) posted in order on one QP,
-// with the validity word (epoch) last. A reader that observes the epoch
-// therefore observes every word written before it in that batch.
+// The protocol is a policy of the striped static-write engine: each chunk
+// round goes through sendStripedOn with the tag on the work request, each
+// attempt through StaticSender.sendRetryFrom. Only the commit differs:
+// instead of one flag after all stripes, each lane's batch ends with a
+// posted-mark word. Only tagged chunks are droppable (Hooks.Lossy/
+// ChunkDrop); descriptor, marks, NACKs and acks are reliable inline
+// one-word writes (postControl).
 //
 // Lossy slot layout, after the payload of a static slot:
 //
-//	off                 payload            (alignUp(payloadSize) bytes)
-//	+alignUp(P)         flag               (legacy tail word, unused here)
-//	+alignUp(P)+8       epoch guard        (armed by sender before chunks)
+//	off                 payload             (alignUp(payloadSize) bytes)
+//	+alignUp(P)         flag                (legacy tail word, unused here)
+//	+alignUp(P)+8       epoch guard         (oldest epoch still accepted)
 //	+alignUp(P)+16      arrival[MaxStripes] (chunk i's word = epoch when landed)
-//	+alignUp(P)+144     RetransmitDesc     (32 bytes, epoch word last)
+//	+alignUp(P)+144     marks[MaxStripes]   (lane l's posted mark, markWord)
+//	+alignUp(P)+272     RetransmitDesc      (32 bytes, epoch word last)
 
 const (
-	// retransmitDescWireSize / nackDescWireSize are the fixed encodings of
-	// the two control headers, 4 words each with the epoch word last.
-	retransmitDescWireSize = 32
-	nackDescWireSize       = 32
-
-	// lossyArrivalWords is the arrival-stamp table length: one word per
-	// possible chunk (chunk counts are clamped to MaxStripes).
+	// lossyArrivalWords is the arrival table length (chunks ≤ MaxStripes).
 	lossyArrivalWords = MaxStripes
-
 	// LossyTailSize is the metadata appended to a lossy slot's payload:
-	// flag + guard + arrival table + descriptor.
-	LossyTailSize = FlagWordSize + 8 + lossyArrivalWords*8 + retransmitDescWireSize
+	// flag + guard + arrival table + mark table + descriptor.
+	LossyTailSize = FlagWordSize + 8 + lossyArrivalWords*8 + MaxStripes*8 + ctlDescWireSize
 )
 
 // LossySlotSize returns the region bytes needed for a lossy static slot
@@ -64,226 +50,32 @@ func LossySlotSize(payloadSize int) int {
 
 // lossySlotLayout holds a slot's absolute control-word offsets.
 type lossySlotLayout struct {
-	flag, guard, arrival, desc int
+	flag, guard, arrival, marks, desc int
 }
 
 func lossyLayout(off, payloadSize int) lossySlotLayout {
 	flag := off + alignUp(payloadSize)
-	return lossySlotLayout{
-		flag:    flag,
-		guard:   flag + FlagWordSize,
-		arrival: flag + FlagWordSize + 8,
-		desc:    flag + FlagWordSize + 8 + lossyArrivalWords*8,
-	}
+	arrival := flag + FlagWordSize + 8
+	marks := arrival + lossyArrivalWords*8
+	return lossySlotLayout{flag: flag, guard: flag + FlagWordSize, arrival: arrival,
+		marks: marks, desc: marks + MaxStripes*8}
 }
 
-// ChunkTag is the semantic header carried by every tagged chunk write:
-// which tensor, which chunk of it, and which send epoch.
-type ChunkTag struct {
-	TensorID uint64
-	Seq      uint32
-	Epoch    uint64
-}
-
-// tagKind distinguishes the two tagged write flavors.
-type tagKind uint8
-
-const (
-	tagChunk tagKind = iota
-	tagArm
-)
-
-// writeTag rides a workRequest through the QP into executeTagged.
-type writeTag struct {
-	kind       tagKind
-	tag        ChunkTag
-	guardOff   int // absolute offset of the slot's epoch guard word
-	arrivalOff int // absolute offset of arrival[0]
-}
-
-// RetransmitDesc announces one send epoch to the receiver: the tensor, its
-// chunk count and size, and the epoch. The epoch is the last word on the
-// wire — it doubles as the descriptor's validity flag.
-type RetransmitDesc struct {
-	TensorID    uint64
-	Chunks      uint32
-	PayloadSize uint64
-	Epoch       uint64
-}
-
-// Marshal encodes the descriptor (tensorID u64 | chunks u32 | pad u32 |
-// payloadSize u64 | epoch u64, all LE).
-func (d RetransmitDesc) Marshal() []byte {
-	buf := make([]byte, retransmitDescWireSize)
-	binary.LittleEndian.PutUint64(buf, d.TensorID)
-	binary.LittleEndian.PutUint32(buf[8:], d.Chunks)
-	binary.LittleEndian.PutUint64(buf[16:], d.PayloadSize)
-	binary.LittleEndian.PutUint64(buf[24:], d.Epoch)
-	return buf
-}
-
-// UnmarshalRetransmitDesc decodes a descriptor produced by Marshal. It is
-// total on arbitrary bytes: only length is validated here — semantic
-// checks (tensor identity, chunk bounds, size) belong to the receiver,
-// which knows what it expects.
-func UnmarshalRetransmitDesc(buf []byte) (RetransmitDesc, error) {
-	if len(buf) < retransmitDescWireSize {
-		return RetransmitDesc{}, fmt.Errorf("rdma: short retransmit descriptor (%d bytes)", len(buf))
-	}
-	return RetransmitDesc{
-		TensorID:    binary.LittleEndian.Uint64(buf),
-		Chunks:      binary.LittleEndian.Uint32(buf[8:]),
-		PayloadSize: binary.LittleEndian.Uint64(buf[16:]),
-		Epoch:       binary.LittleEndian.Uint64(buf[24:]),
-	}, nil
-}
-
-// NackDesc is the receiver→sender control header: the missing-chunk bitmap
-// for one epoch of one tensor. Missing == 0 is the completion ack. Seq
-// increments per posted NACK so the sender can tell a re-NACK (its
-// retransmit was lost too) from the one it already served. The epoch is
-// again the last word on the wire.
-type NackDesc struct {
-	TensorID uint64
-	Missing  uint64 // bit i set = chunk i missing; MaxStripes ≤ 64
-	Seq      uint64
-	Epoch    uint64
-}
-
-// Marshal encodes the header (tensorID u64 | missing u64 | seq u64 |
-// epoch u64, all LE).
-func (d NackDesc) Marshal() []byte {
-	buf := make([]byte, nackDescWireSize)
-	binary.LittleEndian.PutUint64(buf, d.TensorID)
-	binary.LittleEndian.PutUint64(buf[8:], d.Missing)
-	binary.LittleEndian.PutUint64(buf[16:], d.Seq)
-	binary.LittleEndian.PutUint64(buf[24:], d.Epoch)
-	return buf
-}
-
-// UnmarshalNackDesc decodes a header produced by Marshal; total on
-// arbitrary bytes of sufficient length.
-func UnmarshalNackDesc(buf []byte) (NackDesc, error) {
-	if len(buf) < nackDescWireSize {
-		return NackDesc{}, fmt.Errorf("rdma: short nack descriptor (%d bytes)", len(buf))
-	}
-	return NackDesc{
-		TensorID: binary.LittleEndian.Uint64(buf),
-		Missing:  binary.LittleEndian.Uint64(buf[8:]),
-		Seq:      binary.LittleEndian.Uint64(buf[16:]),
-		Epoch:    binary.LittleEndian.Uint64(buf[24:]),
-	}, nil
-}
-
-// --- epoch-guarded placement (receiver-side memory) ---
-
-// armEpoch publishes the slot's live epoch. Serialized against placeChunk
-// by tagMu: once armEpoch(e+1) returns, no chunk of epoch ≤ e can land.
-func (m *MemRegion) armEpoch(guardOff int, epoch uint64) error {
-	if guardOff < 0 || guardOff%8 != 0 || guardOff+8 > len(m.data) {
-		return fmt.Errorf("rdma: epoch guard at %d of %d-byte region: %w",
-			guardOff, len(m.data), ErrBounds)
-	}
-	m.tagMu.Lock()
-	atomicStore64(m.data, guardOff, epoch)
-	m.tagMu.Unlock()
-	return nil
-}
-
-// placeChunk lands one tagged chunk iff the slot's guard still holds the
-// chunk's epoch; a stale chunk is discarded whole (returns false). The
-// guard check, the payload stores, and the arrival stamp happen under
-// tagMu, so placement is atomic with respect to re-arming — the invariant
-// the mid-abort isolation test pins. Payload words move with atomic
-// stores: concurrent duplicate retransmits of the same chunk write the
-// same bytes, and pollers may read the region while chunks land.
-func (m *MemRegion) placeChunk(t *writeTag, dstOff int, src []byte) (bool, error) {
-	if int(t.tag.Seq) >= lossyArrivalWords {
-		return false, fmt.Errorf("rdma: chunk seq %d outside arrival table: %w", t.tag.Seq, ErrBounds)
-	}
-	arrOff := t.arrivalOff + 8*int(t.tag.Seq)
-	if t.guardOff < 0 || t.guardOff%8 != 0 || t.guardOff+8 > len(m.data) ||
-		arrOff < 0 || arrOff%8 != 0 || arrOff+8 > len(m.data) {
-		return false, fmt.Errorf("rdma: lossy control words [%d,%d] of %d-byte region: %w",
-			t.guardOff, arrOff, len(m.data), ErrBounds)
-	}
-	if dstOff < 0 || dstOff%8 != 0 || len(src)%8 != 0 || dstOff+len(src) > len(m.data) {
-		return false, fmt.Errorf("rdma: lossy chunk [%d,+%d) of %d-byte region: %w",
-			dstOff, len(src), len(m.data), ErrBounds)
-	}
-	m.tagMu.Lock()
-	defer m.tagMu.Unlock()
-	if atomicLoad64(m.data, t.guardOff) != t.tag.Epoch {
-		return false, nil
-	}
-	for o := 0; o+8 <= len(src); o += 8 {
-		atomicStore64(m.data, dstOff+o, atomicLoad64(src, o))
-	}
-	atomicStore64(m.data, arrOff, t.tag.Epoch)
-	return true, nil
-}
-
-// --- tagged posting (channel-side) ---
-
-// taggedReq describes one chunk write of a tagged doorbell batch.
-type taggedReq struct {
-	localOff, remoteOff, size int
-	tag                       ChunkTag
-}
-
-// postTaggedChunks posts a lane's chunk writes as one doorbell batch.
-// Chunk completions carry no callback: on a lossy fabric a chunk's fate is
-// learned from the NACK protocol, not from its completion.
-func (c *Channel) postTaggedChunks(local *MemRegion, remote RemoteRegion,
-	lay lossySlotLayout, reqs []taggedReq) error {
-	wrs := make([]workRequest, len(reqs))
-	for i, r := range reqs {
-		wr, err := transferWR(r.localOff, local, r.remoteOff, remote, r.size, OpWrite, nil)
-		if err != nil {
-			return err
-		}
-		wr.tag = &writeTag{kind: tagChunk, tag: r.tag, guardOff: lay.guard, arrivalOff: lay.arrival}
-		wrs[i] = wr
-	}
-	return c.qp.postBatch(wrs)
-}
-
-// postArm posts the epoch-guard arm write. The local source bytes are
-// irrelevant (the epoch travels in the tag); localOff just names a valid
-// word so the bounds checks hold.
-func (c *Channel) postArm(local *MemRegion, localOff int, remote RemoteRegion,
-	guardOff int, epoch uint64, cb func(error)) error {
-	wr, err := transferWR(localOff, local, guardOff, remote, FlagWordSize, OpWrite, cb)
-	if err != nil {
-		return err
-	}
-	wr.tag = &writeTag{kind: tagArm, tag: ChunkTag{Epoch: epoch}, guardOff: guardOff}
-	return c.qp.post(wr)
-}
+// markWord is a lane's posted mark for the round of epoch e answering NACK
+// seq (seq 0: the first blast). Epoch-major, so a mark an older epoch left
+// behind never covers a round of a newer one (for epochs below 2^32).
+func markWord(e, seq uint64) uint64 { return e<<32 | seq&0xffffffff }
 
 // --- sender ---
 
-// Sender scratch layout: one 64-byte region per LossySender.
-// [0,32) is the inbound NackDesc the receiver writes; [32,64) stages the
-// outbound RetransmitDesc words.
-const (
-	nackTensorOff    = 0
-	nackMissingOff   = 8
-	nackSeqOff       = 16
-	nackEpochOff     = 24
-	descStagingOff   = 32
-	lossyScratchSize = 64
-)
-
 // LossySender drives the lossy protocol for one static edge. It embeds the
 // StaticSender (same staging buffer, same slot descriptor — the receiver's
-// region is just LossySlotSize instead of StaticSlotSize) and replaces the
-// flag-write contract with epoch announce → chunk blast → NACK-driven
-// selective retransmit → completion ack.
+// region is just LossySlotSize large) and replaces the flag commit with
+// announce → chunk blast → NACK-driven retransmit → completion ack.
 type LossySender struct {
 	*StaticSender
 	tensorID uint64
-	scratch  *MemRegion
+	scratch  *MemRegion // the NackDesc the receiver writes: missing@8 seq@16 epoch@24
 	lay      lossySlotLayout
 	epoch    uint64 // owned by the sending goroutine (edges send serially)
 
@@ -296,23 +88,20 @@ type LossySender struct {
 // NewLossySender wraps a StaticSender for the lossy protocol. The remote
 // slot (desc) must have been allocated with LossySlotSize.
 func NewLossySender(s *StaticSender, tensorID uint64) (*LossySender, error) {
-	if uint64(s.desc.Off+LossySlotSize(s.desc.PayloadSize)) > s.desc.Region.Size {
+	if s.desc.PayloadSize <= 0 ||
+		uint64(s.desc.Off+LossySlotSize(s.desc.PayloadSize)) > s.desc.Region.Size {
 		return nil, fmt.Errorf("rdma: remote slot [%d,+%d) of %d bytes is not a lossy slot: %w",
 			s.desc.Off, LossySlotSize(s.desc.PayloadSize), s.desc.Region.Size, ErrBounds)
 	}
-	scratch, err := s.mr.dev.AllocateMemRegion(lossyScratchSize)
+	scratch, err := s.mr.dev.AllocateMemRegion(ctlDescWireSize)
 	if err != nil {
 		return nil, err
 	}
-	return &LossySender{
-		StaticSender: s,
-		tensorID:     tensorID,
-		scratch:      scratch,
-		lay:          lossyLayout(s.desc.Off, s.desc.PayloadSize),
-	}, nil
+	return &LossySender{StaticSender: s, tensorID: tensorID, scratch: scratch,
+		lay: lossyLayout(s.desc.Off, s.desc.PayloadSize)}, nil
 }
 
-// Close releases the sender's scratch region.
+// Close releases the sender's NACK block.
 func (s *LossySender) Close() { s.mr.dev.FreeMemRegion(s.scratch) }
 
 // NackScratch returns the address of the sender's inbound NACK block; the
@@ -321,217 +110,124 @@ func (s *LossySender) NackScratch() DynSlotDesc {
 	return DynSlotDesc{Region: s.scratch.Descriptor(), Off: 0}
 }
 
-// TensorID returns the edge's semantic tensor id.
-func (s *LossySender) TensorID() uint64 { return s.tensorID }
-
 // Retransmits reports chunks selectively re-sent; Nacks the NACKs served;
 // FullResends how many epoch announcements exceeded one per send — i.e.
-// whole-tensor replays, the go-back-N behavior selective retransmit
-// exists to avoid. Tests assert it stays zero under chunk loss.
+// whole-tensor replays, which selective retransmit exists to avoid.
 func (s *LossySender) Retransmits() int64 { return s.retransmits.Load() }
 func (s *LossySender) Nacks() int64       { return s.nacksSeen.Load() }
 func (s *LossySender) FullResends() int64 { return s.announces.Load() - s.sends.Load() }
 
-// chunkSet splits the aligned payload like the striped path does; chunk
-// boundaries and sizes are all 8-aligned, so placement is word-atomic.
-func (s *LossySender) chunkSet(stripes int) []StripeChunk {
-	return StripeDesc{
-		PayloadSize: uint64(alignUp(s.desc.PayloadSize)),
-		Stripes:     uint32(stripes),
-	}.Chunks()
-}
-
-func fullMask(n int) uint64 {
-	if n >= 64 {
-		return ^uint64(0)
-	}
-	return (uint64(1) << uint(n)) - 1
-}
-
 // SendRetry transmits the staging buffer over the lossy protocol, blocking
 // until the receiver acked complete arrival. Chunk loss is recovered
-// in-protocol (selective retransmit); only control-plane failures consume
-// the retry budget, and each such retry announces a fresh epoch.
+// in-protocol; only control-plane failures consume the retry budget, and
+// each such retry announces a fresh epoch.
 func (s *LossySender) SendRetry(opts TransferOpts) error {
-	return s.lossySendRetry(nil, opts)
+	return s.sendRetryFrom(nil, opts, s)
 }
 
-// SendRetryFrom is SendRetry for an unstaged payload.
+// SendRetryFrom is SendRetry for an unstaged payload, copied into staging
+// lane by lane while the first chunks are already on the wire.
 func (s *LossySender) SendRetryFrom(payload []byte, opts TransferOpts) error {
-	if len(payload) != s.desc.PayloadSize {
-		return fmt.Errorf("rdma: payload %d bytes, slot holds %d: %w",
-			len(payload), s.desc.PayloadSize, ErrBounds)
-	}
-	return s.lossySendRetry(payload, opts)
+	return s.sendRetryFrom(payload, opts, s)
 }
 
-func (s *LossySender) lossySendRetry(payload []byte, opts TransferOpts) error {
-	o := opts.withDefaults()
-	start := time.Now()
-	s.sends.Add(1)
-	err := retryLoop(o, fmt.Sprintf("lossy send %dB to %s", s.desc.PayloadSize, s.ch.Remote()),
-		func() error { return s.attempt(payload, o) })
-	return observeComplete(o, s.desc.PayloadSize, start, err)
+// lossyRound makes one sendStripedOn call a round of the lossy protocol:
+// the chunks in mask go out tagged, and each lane's batch ends with its
+// posted mark for the round.
+type lossyRound struct {
+	s     *LossySender
+	epoch uint64
+	seq   uint64 // the NACK this round answers; 0 for the first blast
+	mask  uint64
 }
 
-// attempt is one epoch: arm + announce, blast every chunk, then serve
-// NACKs until the completion ack or the deadline.
-func (s *LossySender) attempt(payload []byte, o TransferOpts) error {
-	lanes, release, err := s.acquireLanes()
-	if err != nil {
-		return err
-	}
-	defer release()
-	if payload != nil {
-		copy(s.Buffer(), payload)
-	}
+// sends reports whether the round carries chunk i; the lossless path (a
+// nil round) carries every chunk.
+func (r *lossyRound) sends(i int) bool { return r == nil || r.mask&(uint64(1)<<uint(i)) != 0 }
+
+// chunk tags chunk i's write. It carries no completion callback: a chunk's
+// fate is learned from the marks and NACKs.
+func (r *lossyRound) chunk(req MemcpyReq, i int) MemcpyReq {
+	req.tag = &writeTag{kind: tagChunk, guardOff: r.s.lay.guard, arrivalOff: r.s.lay.arrival,
+		tag: ChunkTag{TensorID: r.s.tensorID, Seq: uint32(i), Epoch: r.epoch}}
+	return req
+}
+
+// mark is lane's posted-mark write, queued behind the lane's chunks on the
+// same QP: once it lands, each of them has landed or been dropped.
+func (r *lossyRound) mark(lane, localOff int, cb func(error)) MemcpyReq {
+	w := ctlWord{r.s.lay.marks + 8*lane, markWord(r.epoch, r.seq)}
+	return w.req(r.s.mr, localOff, r.s.desc.Region, cb)
+}
+
+// attempt is one epoch: announce, blast every chunk, then serve NACKs until
+// the completion ack or the deadline (a blackholed tensor fails typed with
+// ErrTimeout, fatal in retryLoop). A failed announce or mark fails the
+// attempt.
+func (s *LossySender) attempt(lanes []*Channel, payload []byte, o TransferOpts) error {
+	chunks := EffectiveStripes(alignUp(s.desc.PayloadSize), o.Stripes)
+	lanes = lanes[:min(len(lanes), chunks)]
 	s.epoch++
 	e := s.epoch
 	s.announces.Add(1)
-	chunks := s.chunkSet(o.Stripes)
-	if err := s.announce(lanes[0], e, len(chunks)); err != nil {
-		return err
+	failed := make(chan error, 1)
+	fail := func(err error) {
+		if err != nil {
+			notifyOnce(failed)(err)
+		}
 	}
-	s.blast(lanes, chunks, fullMask(len(chunks)), e, o)
-	return s.awaitAck(lanes, chunks, e, o)
-}
-
-// announce arms the receiver's epoch guard and writes the retransmit
-// descriptor, one word per write in order with the epoch word last, all on
-// one QP, and waits for the completions. After it returns, the receiver
-// accepts epoch-e chunks and discards everything older — which is why the
-// chunk blast must not start before the arm completed: chunks racing ahead
-// of the arm on other QPs would be discarded as stale.
-func (s *LossySender) announce(ch *Channel, e uint64, chunks int) error {
-	d := RetransmitDesc{
-		TensorID: s.tensorID, Chunks: uint32(chunks),
-		PayloadSize: uint64(s.desc.PayloadSize), Epoch: e,
+	// The descriptor queues ahead of lane 0's chunks; no mark matters to
+	// the receiver before it lands.
+	d := RetransmitDesc{TensorID: s.tensorID, Chunks: uint32(chunks), Lanes: uint32(len(lanes)),
+		PayloadSize: uint64(s.desc.PayloadSize), Epoch: e}
+	postControl(lanes[0], s.mr, s.off, s.desc.Region, ctlWords(s.lay.desc, d.words()), fail)
+	all := uint64(1)<<uint(chunks) - 1
+	round := func(payload []byte, mask, seq uint64) {
+		_ = s.sendStripedOn(lanes, payload, o.Stripes, o.OnStripe, o.OnDoorbell,
+			&lossyRound{s: s, epoch: e, seq: seq, mask: mask}, fail)
 	}
-	b := d.Marshal()
-	// Atomic staging stores: a previous announce's writes may still be
-	// draining off this scratch.
-	for i := 0; i < retransmitDescWireSize/8; i++ {
-		s.scratch.StoreWord(descStagingOff+8*i, binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	words := retransmitDescWireSize / 8
-	done := make(chan error, 1)
-	join := newStripeJoin(1+words, func(err error) {
+	round(payload, all, 0)
+	var lastSeq uint64
+	var err error
+	werr := waitCond(o, fmt.Sprintf("lossy send epoch %d to %s", e, s.ch.Remote()), func() bool {
 		select {
-		case done <- err:
+		case err = <-failed:
+			return true
 		default:
 		}
+		// Epoch first: the receiver writes it last, and posts a NACK only
+		// after the previous one was served, so seq and missing are whole.
+		if s.scratch.LoadWord(24) != e {
+			return false
+		}
+		seq := s.scratch.LoadWord(16)
+		if seq == lastSeq {
+			return false
+		}
+		lastSeq = seq
+		missing := s.scratch.LoadWord(8) & all
+		if missing == 0 {
+			return true
+		}
+		n := bits.OnesCount64(missing)
+		s.nacksSeen.Add(1)
+		s.retransmits.Add(int64(n))
+		if o.OnRetransmit != nil {
+			o.OnRetransmit(n)
+		}
+		round(nil, missing, seq)
+		return false
 	})
-	if err := ch.postArm(s.scratch, descStagingOff, s.desc.Region, s.lay.guard, e,
-		join.chunkCB(0)); err != nil {
-		return err
+	if werr != nil {
+		return werr
 	}
-	reqs := make([]MemcpyReq, words)
-	for i := range reqs {
-		reqs[i] = MemcpyReq{
-			LocalOff: descStagingOff + 8*i, Local: s.scratch,
-			RemoteOff: s.lay.desc + 8*i, Remote: s.desc.Region,
-			Size: FlagWordSize, Dir: OpWrite, CB: join.chunkCB(1 + i),
-		}
-	}
-	if err := ch.MemcpyBatch(reqs); err != nil {
-		// Nothing of the batch posted; drain the join with the error so the
-		// arm's completion cannot leave it dangling.
-		for _, r := range reqs {
-			r.CB(err)
-		}
-	}
-	if err := <-done; err != nil {
-		return fmt.Errorf("rdma: lossy announce epoch %d to %s: %w", e, s.ch.Remote(), err)
-	}
-	return nil
-}
-
-// blast posts the chunks selected by mask, round-robin over the lanes as
-// one doorbell batch per lane. Chunk completions are ignored: a failed
-// post is indistinguishable from wire loss, and the NACK protocol recovers
-// both.
-func (s *LossySender) blast(lanes []*Channel, chunks []StripeChunk, mask, e uint64, o TransferOpts) {
-	nl := len(lanes)
-	batches := make([][]taggedReq, nl)
-	for i, chk := range chunks {
-		if mask&(uint64(1)<<uint(i)) == 0 {
-			continue
-		}
-		lane := i % nl
-		if o.OnStripe != nil {
-			o.OnStripe(lane, chk.Size)
-		}
-		batches[lane] = append(batches[lane], taggedReq{
-			localOff: s.off + chk.Off, remoteOff: s.desc.Off + chk.Off, size: chk.Size,
-			tag: ChunkTag{TensorID: s.tensorID, Seq: uint32(i), Epoch: e},
-		})
-	}
-	for lane, batch := range batches {
-		if len(batch) == 0 {
-			continue
-		}
-		if o.OnDoorbell != nil {
-			o.OnDoorbell(lane, len(batch))
-		}
-		_ = lanes[lane].postTaggedChunks(s.mr, s.desc.Region, s.lay, batch)
-	}
-}
-
-// awaitAck polls the sender scratch for receiver feedback: each new NACK
-// seq either completes the epoch (missing == 0) or names the chunks to
-// retransmit. The epoch word is read first; since the receiver writes each
-// NACK's words in order with the epoch last and keeps at most one NACK
-// write in flight, a matching epoch means seq and missing belong to this
-// epoch. The deadline makes total loss (a blackholed tensor) fail typed
-// and bounded: ErrTimeout, fatal in retryLoop.
-func (s *LossySender) awaitAck(lanes []*Channel, chunks []StripeChunk, e uint64, o TransferOpts) error {
-	deadline := time.Now().Add(o.Deadline)
-	var lastSeq uint64
-	for spins := 0; ; spins++ {
-		if o.Canceled != nil && o.Canceled() {
-			return fmt.Errorf("rdma: lossy send epoch %d to %s: %w", e, s.ch.Remote(), ErrCanceled)
-		}
-		if s.scratch.LoadWord(nackEpochOff) == e {
-			if seq := s.scratch.LoadWord(nackSeqOff); seq != lastSeq {
-				lastSeq = seq
-				missing := s.scratch.LoadWord(nackMissingOff) & fullMask(len(chunks))
-				if missing == 0 {
-					return nil
-				}
-				n := bits.OnesCount64(missing)
-				s.nacksSeen.Add(1)
-				s.retransmits.Add(int64(n))
-				if o.OnRetransmit != nil {
-					o.OnRetransmit(n)
-				}
-				s.blast(lanes, chunks, missing, e, o)
-			}
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("rdma: lossy send epoch %d to %s: no completion ack: %w",
-				e, s.ch.Remote(), ErrTimeout)
-		}
-		if spins > 256 {
-			sleep(o.PollInterval)
-		} else {
-			runtime.Gosched()
-		}
-	}
+	return err
 }
 
 // --- receiver ---
 
-// defaultNackInterval paces receiver NACKs: long enough for in-flight
-// chunks to land (spurious NACKs cost duplicate retransmits, which are
-// harmless but noisy), short enough to keep loss recovery well under a
-// training step.
-const defaultNackInterval = 500 * time.Microsecond
-
 // LossyReceiverConfig tunes a LossyReceiver.
 type LossyReceiverConfig struct {
-	// NackInterval paces NACK (and ack re-send) posting; 0 selects the
-	// default.
-	NackInterval time.Duration
 	// OnNack, if non-nil, observes each posted NACK with its missing-chunk
 	// count (metrics hook).
 	OnNack func(missing int)
@@ -540,45 +236,33 @@ type LossyReceiverConfig struct {
 	Source LaneSource
 }
 
-// LossyReceiver owns one lossy static slot. Poll drives the whole receive
-// side: it reads the announced descriptor, scans the arrival table, posts
-// NACKs for missing chunks, and posts the completion ack once the epoch's
-// payload fully landed.
+// LossyReceiver owns one lossy static slot: the StaticReceiver's slot (its
+// Desc and Payload serve unchanged), committed by the lossy protocol
+// instead of the flag. Poll drives the whole receive side.
 type LossyReceiver struct {
-	mr          *MemRegion
-	off         int
-	payloadSize int
-	tensorID    uint64
-	lay         lossySlotLayout
-	ch          *Channel
-	source      LaneSource
-	staging     *MemRegion // outbound NackDesc words
-	interval    time.Duration
-	onNack      func(int)
+	*StaticReceiver
+	tensorID uint64
+	lay      lossySlotLayout
+	ch       *Channel
+	source   LaneSource
+	onNack   func(int)
 
 	mu            sync.Mutex
 	senderScratch DynSlotDesc
 	haveScratch   bool
+	closed        bool
 	curEpoch      uint64
-	chunks        int
+	chunks, lanes int
+	seq           uint64 // last NACK seq of this epoch
 	complete      bool
-	consumed      uint64 // last epoch consumed by the application
-	lastPost      time.Time
-	seq           uint64
-
-	// inflight serializes NACK/ack posting: at most one control batch in
-	// flight, so the sender scratch words always settle in posting order
-	// (see awaitAck's torn-read argument). renack re-triggers a post whose
-	// batch failed; needAck re-posts the completion ack until it lands.
-	inflight  atomic.Bool
-	renack    atomic.Bool
-	needAck   atomic.Uint64
-	nacksSent atomic.Int64
+	consumed      uint64   // last epoch consumed by the application
+	out           NackDesc // the header to deliver
+	dirty         bool     // out is still to be posted
 }
 
 // NewLossyReceiver claims [off, off+LossySlotSize(payloadSize)) of mr as a
 // lossy receive slot. ch reaches the edge's sender; it is used for control
-// posts unless cfg.Source overrides per attempt.
+// posts unless cfg.Source overrides per post.
 func NewLossyReceiver(ch *Channel, mr *MemRegion, off, payloadSize int,
 	tensorID uint64, cfg LossyReceiverConfig) (*LossyReceiver, error) {
 	if off%8 != 0 {
@@ -587,77 +271,55 @@ func NewLossyReceiver(ch *Channel, mr *MemRegion, off, payloadSize int,
 	if _, err := mr.Slice(off, LossySlotSize(payloadSize)); err != nil {
 		return nil, err
 	}
-	staging, err := mr.dev.AllocateMemRegion(nackDescWireSize)
-	if err != nil {
-		return nil, err
+	r := &LossyReceiver{StaticReceiver: &StaticReceiver{mr: mr, off: off, payloadSize: payloadSize},
+		tensorID: tensorID, lay: lossyLayout(off, payloadSize), ch: ch, source: cfg.Source,
+		onNack: cfg.OnNack}
+	for w := r.lay.guard; w < off+LossySlotSize(payloadSize); w += 8 {
+		mr.ClearFlag(w)
 	}
-	if cfg.NackInterval <= 0 {
-		cfg.NackInterval = defaultNackInterval
-	}
-	r := &LossyReceiver{
-		mr: mr, off: off, payloadSize: payloadSize, tensorID: tensorID,
-		lay: lossyLayout(off, payloadSize), ch: ch, source: cfg.Source,
-		staging: staging, interval: cfg.NackInterval, onNack: cfg.OnNack,
-	}
-	mr.ClearFlag(r.lay.guard)
-	mr.ClearFlag(r.lay.desc + 24)
 	return r, nil
 }
 
-// Close releases the receiver's NACK staging region.
-func (r *LossyReceiver) Close() { r.mr.dev.FreeMemRegion(r.staging) }
-
-// Desc returns the slot address for the sender — the same StaticSlotDesc
-// shape as the lossless protocol, so address distribution is unchanged;
-// the region is simply LossySlotSize large.
-func (r *LossyReceiver) Desc() StaticSlotDesc {
-	return StaticSlotDesc{Region: r.mr.Descriptor(), Off: r.off, PayloadSize: r.payloadSize}
-}
-
-// SetSenderScratch installs the sender's NACK block address; until it is
-// known the receiver cannot NACK (it just waits, and the sender's blast
-// either fully lands or the edge times out).
-func (r *LossyReceiver) SetSenderScratch(d DynSlotDesc) {
+// Close stops the receiver's control posts (a failed ack is otherwise
+// re-posted until it lands).
+func (r *LossyReceiver) Close() {
 	r.mu.Lock()
-	r.senderScratch = d
-	r.haveScratch = true
+	r.closed = true
 	r.mu.Unlock()
 }
 
-// NacksSent reports control NACKs posted (excluding completion acks).
-func (r *LossyReceiver) NacksSent() int64 { return r.nacksSent.Load() }
+// SetSenderScratch installs the sender's NACK block address; until it is
+// known the receiver cannot NACK or ack.
+func (r *LossyReceiver) SetSenderScratch(d DynSlotDesc) {
+	r.mu.Lock()
+	r.senderScratch, r.haveScratch = d, true
+	r.flushLocked()
+	r.mu.Unlock()
+}
 
 // Poll advances the receive protocol and reports whether a complete,
-// unconsumed tensor is available. It is the lossy analogue of
-// StaticReceiver.Poll and is driven from the same scheduler loop.
+// unconsumed tensor is available, like StaticReceiver.Poll.
+//
+// The receiver NACKs only once every lane's mark covers the latest round,
+// i.e. the round that last carried each missing chunk: the QP executes in
+// order, so each such chunk has landed or been dropped, and a missing
+// arrival stamp is a loss, never a chunk in flight. Retransmits therefore
+// equal drops, whatever the host's load.
 func (r *LossyReceiver) Poll() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.pumpAckLocked()
+	r.flushLocked()
 	e := r.mr.LoadWord(r.lay.desc + 24)
-	if e == 0 || e == r.consumed {
+	if e == 0 || e == r.consumed || (e != r.curEpoch && !r.beginEpochLocked(e)) {
 		return false
-	}
-	if e != r.curEpoch {
-		var buf [retransmitDescWireSize]byte
-		for i := 0; i < retransmitDescWireSize/8; i++ {
-			binary.LittleEndian.PutUint64(buf[8*i:], r.mr.LoadWord(r.lay.desc+8*i))
-		}
-		d, err := UnmarshalRetransmitDesc(buf[:])
-		if err != nil || d.Epoch != e || d.TensorID != r.tensorID ||
-			d.Chunks == 0 || int(d.Chunks) > lossyArrivalWords ||
-			d.PayloadSize != uint64(r.payloadSize) {
-			// Torn or foreign descriptor; the epoch word lands last, so a
-			// later poll sees it whole.
-			return false
-		}
-		r.curEpoch = e
-		r.chunks = int(d.Chunks)
-		r.complete = false
-		r.lastPost = time.Now() // grace before the first NACK
 	}
 	if r.complete {
 		return true
+	}
+	// Marks before stamps, so every stamp read below is final.
+	settled := true
+	for l := 0; l < r.lanes; l++ {
+		settled = settled && r.mr.LoadWord(r.lay.marks+8*l) >= markWord(e, r.seq)
 	}
 	var missing uint64
 	for i := 0; i < r.chunks; i++ {
@@ -665,131 +327,91 @@ func (r *LossyReceiver) Poll() bool {
 			missing |= uint64(1) << uint(i)
 		}
 	}
-	if missing == 0 {
-		// Disarm the guard before exposing the payload: a duplicate
-		// retransmit still in flight (the sender served a re-NACK whose
-		// first answer wasn't lost after all) must be discarded at the
-		// guard, not re-stored into memory the consumer is now reading.
-		// The sender re-arms at the next epoch's announce.
-		_ = r.mr.armEpoch(r.lay.guard, 0)
+	switch {
+	case missing == 0:
+		// Retire the epoch before exposing the payload: nothing of it may
+		// be re-stored into memory the consumer reads.
+		_ = r.mr.storeGuarded(r.lay.guard, e+1)
 		r.complete = true
-		r.needAck.Store(e)
-		r.lastPost = time.Time{} // ack immediately
-		r.pumpAckLocked()
+		r.postLocked(0, e)
 		return true
-	}
-	if r.renack.Swap(false) || time.Since(r.lastPost) >= r.interval {
-		r.lastPost = time.Now()
+	case settled:
 		if r.onNack != nil {
 			r.onNack(bits.OnesCount64(missing))
 		}
-		r.nacksSent.Add(1)
-		r.postNack(missing, e)
+		r.postLocked(missing, e)
 	}
 	return false
 }
 
-// pumpAck posts a due completion ack immediately, bypassing the NACK
-// pacing interval. postNack's completion callback calls it when an ack was
-// deferred behind an in-flight control batch.
-func (r *LossyReceiver) pumpAck() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.needAck.Load() == 0 {
-		return
+// beginEpochLocked adopts the descriptor announcing epoch e, or reports
+// false for a torn or foreign one (the epoch word lands last, so a later
+// poll sees it whole).
+func (r *LossyReceiver) beginEpochLocked(e uint64) bool {
+	var buf [ctlDescWireSize]byte
+	for i := 0; i < ctlDescWireSize; i += 8 {
+		binary.LittleEndian.PutUint64(buf[i:], r.mr.LoadWord(r.lay.desc+i))
 	}
-	r.renack.Store(true)
-	r.pumpAckLocked()
+	d, _ := UnmarshalRetransmitDesc(buf[:])
+	if d.Epoch != e || d.TensorID != r.tensorID || d.PayloadSize != uint64(r.payloadSize) ||
+		d.Chunks == 0 || d.Chunks > lossyArrivalWords || d.Lanes == 0 || d.Lanes > MaxStripes {
+		return false
+	}
+	r.curEpoch, r.chunks, r.lanes = e, int(d.Chunks), int(d.Lanes)
+	r.complete, r.seq = false, 0
+	return true
 }
 
-// pumpAckLocked re-posts the completion ack until its write landed; the
-// sender blocks on it, so an ack lost to a failed post must be retried.
-func (r *LossyReceiver) pumpAckLocked() {
-	e := r.needAck.Load()
-	if e == 0 {
-		return
-	}
-	if r.renack.Swap(false) || r.lastPost.IsZero() || time.Since(r.lastPost) >= r.interval {
-		r.lastPost = time.Now()
-		r.postNack(0, e)
-	}
-}
-
-// postNack stages and posts one NackDesc (missing == 0 is the completion
-// ack): four word writes in order on one QP, epoch last. At most one batch
-// is in flight (inflight CAS) — see the struct comment for why that
-// ordering discipline is what makes the sender's scratch reads sound.
-func (r *LossyReceiver) postNack(missing, e uint64) {
-	if !r.haveScratch {
-		return
-	}
-	if !r.inflight.CompareAndSwap(false, true) {
-		return
-	}
+// postLocked posts the epoch's next control header: a NACK, or the
+// completion ack when missing is 0.
+func (r *LossyReceiver) postLocked(missing, e uint64) {
 	r.seq++
-	d := NackDesc{TensorID: r.tensorID, Missing: missing, Seq: r.seq, Epoch: e}
-	b := d.Marshal()
-	for i := 0; i < nackDescWireSize/8; i++ {
-		r.staging.StoreWord(8*i, binary.LittleEndian.Uint64(b[8*i:]))
+	r.out = NackDesc{TensorID: r.tensorID, Missing: missing, Seq: r.seq, Epoch: e}
+	r.dirty = true
+	r.flushLocked()
+}
+
+// flushLocked posts out if it is still to be posted. A failed post is
+// re-posted from its completion unless a newer header superseded it:
+// nobody polls a consumed edge, yet the sender blocks on its ack.
+func (r *LossyReceiver) flushLocked() {
+	if !r.dirty || !r.haveScratch || r.closed {
+		return
 	}
 	ch, release, err := laneFor(r.source, r.ch.Remote(), r.ch)
 	if err != nil {
-		r.inflight.Store(false)
-		r.renack.Store(true)
-		return
+		return // still dirty: the next Poll retries
 	}
-	words := nackDescWireSize / 8
-	scratch := r.senderScratch
-	acked := missing == 0
-	join := newStripeJoin(words, func(err error) {
-		if err == nil && acked {
-			r.needAck.CompareAndSwap(e, 0)
-		}
-		if err != nil {
-			r.renack.Store(true)
-		}
-		release()
-		r.inflight.Store(false)
-		// If an ack became due while this batch pinned the in-flight slot
-		// (Poll's post was silently skipped by the CAS), nothing will pump it
-		// again once the scheduler stops polling a completed edge — so pump
-		// from here. A goroutine, not an inline post: this callback runs in
-		// completion context.
-		if r.needAck.Load() != 0 {
-			go r.pumpAck()
-		}
-	})
-	reqs := make([]MemcpyReq, words)
-	for i := range reqs {
-		reqs[i] = MemcpyReq{
-			LocalOff: 8 * i, Local: r.staging,
-			RemoteOff: scratch.Off + 8*i, Remote: scratch.Region,
-			Size: FlagWordSize, Dir: OpWrite, CB: join.chunkCB(i),
-		}
-	}
-	if err := ch.MemcpyBatch(reqs); err != nil {
-		for _, q := range reqs {
-			q.CB(err)
-		}
-	}
+	r.dirty = false
+	d := r.out
+	postControl(ch, r.mr, r.lay.flag, r.senderScratch.Region,
+		ctlWords(r.senderScratch.Off, d.words()), func(err error) {
+			release()
+			if err != nil {
+				go r.repost(d)
+			}
+		})
 }
 
-// Payload returns the slot's payload bytes; valid after Poll returned true.
-func (r *LossyReceiver) Payload() []byte {
-	return r.mr.Bytes()[r.off : r.off+r.payloadSize]
+func (r *LossyReceiver) repost(d NackDesc) {
+	sleep(DefaultBackoff)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.out == d {
+		r.dirty = true
+		r.flushLocked()
+	}
 }
 
 // Consume marks the current epoch consumed, so Poll reports false until
-// the next epoch is announced. The completion ack keeps re-posting until
-// it lands even after Consume (pumpAckLocked), so the sender always
-// unblocks.
+// the next epoch is announced. A pending completion ack still goes out.
 func (r *LossyReceiver) Consume() {
 	r.mu.Lock()
 	if r.complete {
 		r.consumed = r.curEpoch
 		r.complete = false
 	}
-	r.pumpAckLocked()
+	r.flushLocked()
 	r.mu.Unlock()
 }
 

@@ -8,8 +8,9 @@ import "testing"
 // accepted descriptors must round-trip through Marshal.
 func FuzzUnmarshalRetransmitDesc(f *testing.F) {
 	f.Add(RetransmitDesc{}.Marshal())
-	f.Add(RetransmitDesc{TensorID: 0xBEEF, Chunks: 8, PayloadSize: 1 << 20, Epoch: 3}.Marshal())
-	f.Add(RetransmitDesc{TensorID: ^uint64(0), Chunks: ^uint32(0), PayloadSize: ^uint64(0), Epoch: ^uint64(0)}.Marshal())
+	f.Add(RetransmitDesc{TensorID: 0xBEEF, Chunks: 8, Lanes: 4, PayloadSize: 1 << 20, Epoch: 3}.Marshal())
+	f.Add(RetransmitDesc{TensorID: ^uint64(0), Chunks: ^uint32(0), Lanes: ^uint32(0),
+		PayloadSize: ^uint64(0), Epoch: ^uint64(0)}.Marshal())
 	f.Add([]byte{1, 2, 3})
 
 	f.Fuzz(func(t *testing.T, b []byte) {

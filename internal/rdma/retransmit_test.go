@@ -2,6 +2,7 @@ package rdma
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -14,7 +15,7 @@ const testTensorID = 0xBEEF
 
 // lossyPair wires one LossySender/LossyReceiver edge across a two-device
 // fabric, with the sender's NACK scratch already installed on the receiver.
-func newLossyPair(t *testing.T, payload, lanes int, nackInterval time.Duration) (*Fabric, *LossySender, *LossyReceiver) {
+func newLossyPair(t *testing.T, payload, lanes int) (*Fabric, *LossySender, *LossyReceiver) {
 	t.Helper()
 	f := NewFabric()
 	a, err := CreateDevice(f, Config{Endpoint: "sndr:1", QPsPerPeer: 4})
@@ -34,8 +35,7 @@ func newLossyPair(t *testing.T, payload, lanes int, nackInterval time.Duration) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	recv, err := NewLossyReceiver(rch, rmr, 0, payload, testTensorID,
-		LossyReceiverConfig{NackInterval: nackInterval})
+	recv, err := NewLossyReceiver(rch, rmr, 0, payload, testTensorID, LossyReceiverConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func deliver(t *testing.T, send *LossySender, recv *LossyReceiver, payload []byt
 
 func TestLossyRoundTripNoLoss(t *testing.T) {
 	const payload = 1 << 12
-	_, send, recv := newLossyPair(t, payload, 4, time.Millisecond)
+	_, send, recv := newLossyPair(t, payload, 4)
 	opts := TransferOpts{Deadline: 5 * time.Second, Stripes: 4}
 	rng := rand.New(rand.NewSource(1))
 	for round := 0; round < 5; round++ {
@@ -119,12 +119,13 @@ func TestLossyRoundTripNoLoss(t *testing.T) {
 }
 
 // TestLossySelectiveRetransmit drops specific chunks' first transmission and
-// asserts recovery re-sends only those chunks: delivered chunks are never
-// replayed, and the tensor is never re-announced (no go-back-N).
+// asserts recovery re-sends exactly those chunks, exactly once: a dropped
+// chunk goes out twice, every delivered chunk once, and the tensor is never
+// re-announced (no go-back-N).
 func TestLossySelectiveRetransmit(t *testing.T) {
 	const payload = 1 << 13
 	const stripes = 8
-	f, send, recv := newLossyPair(t, payload, 4, time.Millisecond)
+	f, send, recv := newLossyPair(t, payload, 4)
 
 	dropped := map[uint32]bool{1: true, 3: true, 6: true}
 	var mu sync.Mutex
@@ -148,8 +149,8 @@ func TestLossySelectiveRetransmit(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("payload mismatch after selective retransmit")
 	}
-	if send.Retransmits() < int64(len(dropped)) {
-		t.Errorf("retransmits = %d, want >= %d", send.Retransmits(), len(dropped))
+	if send.Retransmits() != int64(len(dropped)) {
+		t.Errorf("retransmits = %d, want exactly %d", send.Retransmits(), len(dropped))
 	}
 	if send.FullResends() != 0 {
 		t.Errorf("fullResends = %d: recovery replayed the whole tensor", send.FullResends())
@@ -159,29 +160,39 @@ func TestLossySelectiveRetransmit(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	for seq, n := range sent {
-		if !dropped[seq] && n != 1 {
-			t.Errorf("chunk %d transmitted %d times; delivered chunks must never be replayed", seq, n)
+	for seq := uint32(0); seq < stripes; seq++ {
+		want := 1
+		if dropped[seq] {
+			want = 2
+		}
+		if sent[seq] != want {
+			t.Errorf("chunk %d transmitted %d times, want %d", seq, sent[seq], want)
 		}
 	}
 }
 
 // TestLossyRandomDropsBitIdentical delivers under seeded 1–20%% chunk loss
-// and asserts the received bytes stay bit-identical with bounded recovery.
+// and asserts the received bytes stay bit-identical and recovery is exact:
+// one retransmit per dropped chunk, never a spurious one.
 func TestLossyRandomDropsBitIdentical(t *testing.T) {
 	const payload = 1 << 13
 	for _, rate := range []float64{0.01, 0.05, 0.20} {
 		rate := rate
 		t.Run(fmt.Sprintf("drop=%g", rate), func(t *testing.T) {
-			f, send, recv := newLossyPair(t, payload, 4, 200*time.Microsecond)
+			f, send, recv := newLossyPair(t, payload, 4)
 			var mu sync.Mutex
+			drops := 0
 			drng := rand.New(rand.NewSource(int64(rate * 1000)))
 			f.SetHooks(Hooks{
 				Lossy: true,
 				ChunkDrop: func(tag ChunkTag, size int) bool {
 					mu.Lock()
 					defer mu.Unlock()
-					return drng.Float64() < rate
+					drop := drng.Float64() < rate
+					if drop {
+						drops++
+					}
+					return drop
 				},
 			})
 			prng := rand.New(rand.NewSource(3))
@@ -200,6 +211,12 @@ func TestLossyRandomDropsBitIdentical(t *testing.T) {
 			if send.FullResends() != 0 {
 				t.Errorf("fullResends = %d under chunk loss; recovery must stay selective", send.FullResends())
 			}
+			mu.Lock()
+			defer mu.Unlock()
+			if send.Retransmits() != int64(drops) {
+				t.Errorf("retransmits = %d, drops = %d; every retransmit must answer a drop",
+					send.Retransmits(), drops)
+			}
 		})
 	}
 }
@@ -209,7 +226,7 @@ func TestLossyRandomDropsBitIdentical(t *testing.T) {
 // the connection.
 func TestLossyBlackholeFailsTyped(t *testing.T) {
 	const payload = 1 << 10
-	f, send, recv := newLossyPair(t, payload, 2, 100*time.Microsecond)
+	f, send, recv := newLossyPair(t, payload, 2)
 	f.SetHooks(Hooks{
 		Lossy: true,
 		ChunkDrop: func(tag ChunkTag, size int) bool {
@@ -246,10 +263,10 @@ func TestLossyBlackholeFailsTyped(t *testing.T) {
 // instead of retransmitting into memory the aborting iteration may reuse.
 func TestLossyCancelMidLoss(t *testing.T) {
 	const payload = 1 << 10
-	f, send, recv := newLossyPair(t, payload, 2, 100*time.Microsecond)
+	f, send, recv := newLossyPair(t, payload, 2)
 	canceled := make(chan struct{})
 	f.SetHooks(Hooks{
-		Lossy: true,
+		Lossy:     true,
 		ChunkDrop: func(tag ChunkTag, size int) bool { return true },
 	})
 	go func() {
@@ -282,7 +299,7 @@ func TestLossyCancelMidLoss(t *testing.T) {
 // stays at epoch 2, and the staleness is observable via OnChunkStale.
 func TestLossyStaleChunkDiscarded(t *testing.T) {
 	const payload = 1 << 10
-	f, send, recv := newLossyPair(t, payload, 2, time.Millisecond)
+	f, send, recv := newLossyPair(t, payload, 2)
 	var mu sync.Mutex
 	stale := 0
 	f.SetHooks(Hooks{
@@ -305,12 +322,8 @@ func TestLossyStaleChunkDiscarded(t *testing.T) {
 	for i := range send.Buffer() {
 		send.Buffer()[i] = 0x99
 	}
-	chunks := send.chunkSet(4)
-	err := send.ch.postTaggedChunks(send.mr, send.desc.Region, send.lay, []taggedReq{{
-		localOff: send.off + chunks[0].Off, remoteOff: send.desc.Off + chunks[0].Off,
-		size: chunks[0].Size,
-		tag:  ChunkTag{TensorID: testTensorID, Seq: 0, Epoch: 1},
-	}})
+	err := send.sendStripedOn([]*Channel{send.ch}, nil, 4, nil, nil,
+		&lossyRound{s: send, epoch: 1, mask: 1}, func(error) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,9 +348,9 @@ func TestLossyStaleChunkDiscarded(t *testing.T) {
 	}
 }
 
-// TestPlaceChunkEpochGuard unit-tests the guard primitive: a chunk whose
-// epoch no longer matches the armed guard is rejected without touching
-// memory, atomically with respect to re-arming.
+// TestPlaceChunkEpochGuard unit-tests the guard primitive: a chunk older
+// than the guard is rejected without touching memory, atomically with
+// respect to raising the guard, and a newer chunk raises it.
 func TestPlaceChunkEpochGuard(t *testing.T) {
 	f := NewFabric()
 	d, err := CreateDevice(f, Config{Endpoint: "x:1"})
@@ -363,14 +376,14 @@ func TestPlaceChunkEpochGuard(t *testing.T) {
 	}
 	tag := &writeTag{kind: tagChunk, tag: ChunkTag{TensorID: 1, Seq: 0, Epoch: 1},
 		guardOff: lay.guard, arrivalOff: lay.arrival}
-	if err := mr.armEpoch(lay.guard, 1); err != nil {
+	if err := mr.storeGuarded(lay.guard, 1); err != nil {
 		t.Fatal(err)
 	}
 	placed, err := mr.placeChunk(tag, 0, src)
 	if err != nil || !placed {
 		t.Fatalf("current-epoch chunk: placed=%v err=%v", placed, err)
 	}
-	if err := mr.armEpoch(lay.guard, 2); err != nil {
+	if err := mr.storeGuarded(lay.guard, 2); err != nil {
 		t.Fatal(err)
 	}
 	stale := srcMR.Bytes()[64:128]
@@ -387,11 +400,62 @@ func TestPlaceChunkEpochGuard(t *testing.T) {
 	if got := mr.LoadWord(lay.arrival); got != 1 {
 		t.Errorf("arrival stamp = %d, want untouched epoch 1", got)
 	}
+	// A newer epoch's chunk lands and raises the guard past the old one.
+	newer := &writeTag{kind: tagChunk, tag: ChunkTag{TensorID: 1, Seq: 0, Epoch: 3},
+		guardOff: lay.guard, arrivalOff: lay.arrival}
+	if placed, err := mr.placeChunk(newer, 0, stale); err != nil || !placed {
+		t.Fatalf("newer-epoch chunk: placed=%v err=%v", placed, err)
+	}
+	if g := mr.LoadWord(lay.guard); g != 3 {
+		t.Errorf("guard = %d after an epoch-3 chunk, want 3", g)
+	}
+	if placed, _ := mr.placeChunk(tag, 0, src); placed {
+		t.Error("epoch-1 chunk landed after the guard rose to 3")
+	}
 	// Bounds: a seq outside the arrival table is an error, not a write.
 	bad := &writeTag{kind: tagChunk, tag: ChunkTag{Seq: lossyArrivalWords, Epoch: 2},
 		guardOff: lay.guard, arrivalOff: lay.arrival}
 	if _, err := mr.placeChunk(bad, 0, src); !errors.Is(err, ErrBounds) {
 		t.Errorf("out-of-table seq: %v", err)
+	}
+}
+
+// TestRetransmitDescLanesRoundTrip pins the lane count's place on the wire:
+// the descriptor's former pad word, between the chunk count and the size.
+func TestRetransmitDescLanesRoundTrip(t *testing.T) {
+	d := RetransmitDesc{TensorID: 7, Chunks: 9, Lanes: 3, PayloadSize: 4096, Epoch: 5}
+	b := d.Marshal()
+	if got := binary.LittleEndian.Uint32(b[12:]); got != 3 {
+		t.Fatalf("lanes word = %d, want 3", got)
+	}
+	got, err := UnmarshalRetransmitDesc(b)
+	if err != nil || got != d {
+		t.Fatalf("round trip %+v -> %+v (%v)", d, got, err)
+	}
+}
+
+// TestLossyPollRejectsBadLaneCount: a descriptor whose lane count lies
+// outside [1, MaxStripes] is torn or foreign; Poll must not adopt its epoch.
+func TestLossyPollRejectsBadLaneCount(t *testing.T) {
+	const payload = 1 << 10
+	_, _, recv := newLossyPair(t, payload, 2)
+	announce := func(lanes uint32, epoch uint64) {
+		b := RetransmitDesc{TensorID: testTensorID, Chunks: 4, Lanes: lanes,
+			PayloadSize: payload, Epoch: epoch}.Marshal()
+		for i := 0; i < len(b); i += 8 {
+			recv.mr.StoreWord(recv.lay.desc+i, binary.LittleEndian.Uint64(b[i:]))
+		}
+	}
+	for i, lanes := range []uint32{0, MaxStripes + 1, ^uint32(0)} {
+		announce(lanes, uint64(i+1))
+		if recv.Poll() || recv.curEpoch != 0 {
+			t.Fatalf("lanes=%d: receiver adopted epoch %d", lanes, recv.curEpoch)
+		}
+	}
+	announce(MaxStripes, 9)
+	recv.Poll()
+	if recv.curEpoch != 9 || recv.lanes != MaxStripes {
+		t.Fatalf("valid descriptor not adopted: epoch %d lanes %d", recv.curEpoch, recv.lanes)
 	}
 }
 

@@ -219,19 +219,15 @@ func waitCond(opts TransferOpts, what string, cond func() bool) error {
 	return nil
 }
 
-// memcpyAttempt is one blocking Memcpy, tolerant of duplicated completions.
-func (c *Channel) memcpyAttempt(localOff int, local *MemRegion, remoteOff int, remote RemoteRegion,
-	size int, dir Op) error {
-	done := make(chan error, 1)
-	if err := c.Memcpy(localOff, local, remoteOff, remote, size, dir, func(err error) {
+// notifyOnce returns a completion callback handing the first completion to
+// done (capacity 1); duplicates are dropped without blocking the poller.
+func notifyOnce(done chan error) func(error) {
+	return func(err error) {
 		select {
 		case done <- err:
 		default:
 		}
-	}); err != nil {
-		return err
 	}
-	return <-done
 }
 
 // MemcpyRetry is a blocking Memcpy with bounded retry: transient failures
@@ -241,7 +237,7 @@ func (c *Channel) memcpyAttempt(localOff int, local *MemRegion, remoteOff int, r
 func (c *Channel) MemcpyRetry(localOff int, local *MemRegion, remoteOff int, remote RemoteRegion,
 	size int, dir Op, opts TransferOpts) error {
 	return retryLoop(opts, fmt.Sprintf("%s %dB to %s", dir, size, c.remote), func() error {
-		return c.memcpyAttempt(localOff, local, remoteOff, remote, size, dir)
+		return c.MemcpySync(localOff, local, remoteOff, remote, size, dir)
 	})
 }
 
@@ -274,7 +270,7 @@ func (c *Channel) CallRetry(method string, req []byte, opts TransferOpts) ([]byt
 // striped attempt only writes the flag after every stripe completed), and a
 // re-send writes the same bytes.
 func (s *StaticSender) SendRetry(opts TransferOpts) error {
-	return s.sendRetryFrom(nil, opts)
+	return s.sendRetryFrom(nil, opts, nil)
 }
 
 // SendRetryFrom is SendRetry for a payload that lives outside registered
@@ -287,17 +283,25 @@ func (s *StaticSender) SendRetry(opts TransferOpts) error {
 // completed, so no attempt's copy can overlap its own in-flight writes, and
 // a failed attempt never made the flag visible.
 func (s *StaticSender) SendRetryFrom(payload []byte, opts TransferOpts) error {
-	if len(payload) != s.desc.PayloadSize {
+	return s.sendRetryFrom(payload, opts, nil)
+}
+
+// sendRetryFrom is the attempt/lease/retry wrapper of every static send;
+// with ls set, each attempt is one epoch of the lossy protocol instead of a
+// flagged striped write.
+func (s *StaticSender) sendRetryFrom(payload []byte, opts TransferOpts, ls *LossySender) error {
+	if payload != nil && len(payload) != s.desc.PayloadSize {
 		return fmt.Errorf("rdma: payload %d bytes, slot holds %d: %w",
 			len(payload), s.desc.PayloadSize, ErrBounds)
 	}
-	return s.sendRetryFrom(payload, opts)
-}
-
-func (s *StaticSender) sendRetryFrom(payload []byte, opts TransferOpts) error {
 	o := opts.withDefaults()
 	start := time.Now()
-	err := retryLoop(o, fmt.Sprintf("static send %dB to %s", s.desc.PayloadSize, s.ch.Remote()),
+	what := "static send"
+	if ls != nil {
+		what = "lossy send"
+		ls.sends.Add(1)
+	}
+	err := retryLoop(o, fmt.Sprintf("%s %dB to %s", what, s.desc.PayloadSize, s.ch.Remote()),
 		func() error {
 			// Lanes are acquired per attempt: with a LaneSource (mux mode)
 			// the slot is pinned only while this attempt's writes are in
@@ -307,20 +311,16 @@ func (s *StaticSender) sendRetryFrom(payload []byte, opts TransferOpts) error {
 			if err != nil {
 				return err
 			}
+			defer release()
+			if ls != nil {
+				return ls.attempt(lanes, payload, o)
+			}
 			done := make(chan error, 1)
-			if err := s.sendStripedOn(lanes, payload, o.Stripes, o.OnStripe, o.OnDoorbell,
-				func(err error) {
-					select {
-					case done <- err:
-					default:
-					}
-				}); err != nil {
-				release()
+			if err := s.sendStripedOn(lanes, payload, o.Stripes, o.OnStripe, o.OnDoorbell, nil,
+				notifyOnce(done)); err != nil {
 				return err
 			}
-			err = <-done
-			release()
-			return err
+			return <-done
 		})
 	return observeComplete(o, s.desc.PayloadSize, start, err)
 }
@@ -349,12 +349,8 @@ func (s *DynSender) SendRetry(payloadMR *MemRegion, payloadOff, payloadSize int,
 			}
 			defer release()
 			done := make(chan error, 1)
-			if err := s.sendOn(ch, payloadMR, payloadOff, payloadSize, dtype, dims, func(err error) {
-				select {
-				case done <- err:
-				default:
-				}
-			}); err != nil {
+			if err := s.sendOn(ch, payloadMR, payloadOff, payloadSize, dtype, dims,
+				notifyOnce(done)); err != nil {
 				return err
 			}
 			err := <-done

@@ -173,14 +173,14 @@ func (s *StaticSender) Lanes() int { return len(s.lanes) }
 // the flag write (or the first failing stripe) completes; a failed striped
 // send leaves no flag visible, so re-sending the identical bytes is safe.
 func (s *StaticSender) SendStriped(stripes int, onStripe func(lane, bytes int), cb func(error)) error {
-	return s.sendStripedOn(s.lanes, nil, stripes, onStripe, nil, cb)
+	return s.sendStripedOn(s.lanes, nil, stripes, onStripe, nil, nil, cb)
 }
 
 // sendStripedOn is the shared striped-send engine behind SendStriped,
-// SendRetry, and SendRetryFrom, parameterized over the attempt's lanes
-// (cached ones, or a per-attempt lease from a LaneSource). Chunk i rides
-// lane i%L, same placement as always; what varies is staging and post
-// granularity:
+// SendRetry, SendRetryFrom and every round of the lossy protocol,
+// parameterized over the attempt's lanes (cached ones, or a per-attempt
+// lease from a LaneSource). Chunk i rides lane i%L, same placement as
+// always; what varies is staging and post granularity:
 //
 //   - payload == nil (staged/zero-copy): every chunk is already in the
 //     staging buffer, so each lane's whole chunk group is posted as one
@@ -193,11 +193,24 @@ func (s *StaticSender) SendStriped(stripes int, onStripe func(lane, bytes int), 
 //     each flush carries a single chunk — the classic tradeoff between
 //     batching posts and posting early.
 //
-// onDoorbell, if non-nil, observes each flush as (lane, chunks posted).
+// and the commit:
+//
+//   - lr == nil: the tail flag, written once every chunk completed.
+//   - lr != nil (a lossy round, see retransmit.go): the chunks lr selects
+//     go out tagged over the word-aligned payload, and each lane's last
+//     flush carries that lane's posted mark; cb fires once every mark
+//     landed. A pipelined lossy round must select every chunk.
+//
+// onDoorbell, if non-nil, observes each flush as (lane, requests posted).
 func (s *StaticSender) sendStripedOn(lanes []*Channel, payload []byte, stripes int,
-	onStripe func(lane, bytes int), onDoorbell func(lane, chunks int), cb func(error)) error {
-	chunks := StripeDesc{PayloadSize: uint64(s.desc.PayloadSize), Stripes: uint32(stripes)}.Chunks()
-	if len(chunks) <= 1 || len(lanes) <= 1 {
+	onStripe func(lane, bytes int), onDoorbell func(lane, chunks int), lr *lossyRound,
+	cb func(error)) error {
+	size := s.desc.PayloadSize
+	if lr != nil {
+		size = alignUp(size) // tagged chunks are placed word by word
+	}
+	chunks := StripeDesc{PayloadSize: uint64(size), Stripes: uint32(stripes)}.Chunks()
+	if lr == nil && (len(chunks) <= 1 || len(lanes) <= 1) {
 		if payload != nil {
 			copy(s.Buffer(), payload)
 		}
@@ -209,39 +222,57 @@ func (s *StaticSender) sendStripedOn(lanes []*Channel, payload []byte, stripes i
 	flagOff := s.off + alignUp(s.desc.PayloadSize)
 	remoteFlagOff := s.desc.Off + alignUp(s.desc.PayloadSize)
 	s.mr.SetFlagLocal(flagOff)
-	join := newStripeJoin(len(chunks), func(err error) {
-		if err != nil {
-			cb(err)
-			return
-		}
-		// Every payload stripe is placed remotely; ship the tail flag.
-		if onStripe != nil {
-			onStripe(0, FlagWordSize)
-		}
-		if err := lanes[0].Memcpy(flagOff, s.mr, remoteFlagOff, s.desc.Region,
-			FlagWordSize, OpWrite, cb); err != nil {
-			cb(err)
-		}
-	})
 	nl := len(lanes)
+	var join *stripeJoin
+	if lr != nil {
+		join = newStripeJoin(nl, cb) // one completion per lane: its mark
+	} else {
+		join = newStripeJoin(len(chunks), func(err error) {
+			if err != nil {
+				cb(err)
+				return
+			}
+			// Every payload stripe is placed remotely; ship the tail flag.
+			if onStripe != nil {
+				onStripe(0, FlagWordSize)
+			}
+			if err := lanes[0].Memcpy(flagOff, s.mr, remoteFlagOff, s.desc.Region,
+				FlagWordSize, OpWrite, cb); err != nil {
+				cb(err)
+			}
+		})
+	}
 	req := func(i int) MemcpyReq {
 		chk := chunks[i]
-		return MemcpyReq{
+		r := MemcpyReq{
 			LocalOff: s.off + chk.Off, Local: s.mr,
 			RemoteOff: s.desc.Off + chk.Off, Remote: s.desc.Region,
-			Size: chk.Size, Dir: OpWrite, CB: join.chunkCB(i),
+			Size: chk.Size, Dir: OpWrite,
 		}
+		if lr != nil {
+			return lr.chunk(r, i)
+		}
+		r.CB = join.chunkCB(i)
+		return r
 	}
-	flush := func(lane int, batch []MemcpyReq) {
+	flush := func(lane int, batch []MemcpyReq, last bool) {
+		if lr != nil && last {
+			batch = append(batch, lr.mark(lane, flagOff, join.chunkCB(lane)))
+		}
+		if len(batch) == 0 {
+			return
+		}
 		if onDoorbell != nil {
 			onDoorbell(lane, len(batch))
 		}
 		if err := lanes[lane].MemcpyBatch(batch); err != nil {
 			// A failed flush posted nothing (all-or-none): count it as every
-			// batched chunk's completion; other lanes still drain through
+			// batched request's completion; other lanes still drain through
 			// the join.
 			for _, r := range batch {
-				r.CB(err)
+				if r.CB != nil {
+					r.CB(err)
+				}
 			}
 		}
 	}
@@ -249,14 +280,15 @@ func (s *StaticSender) sendStripedOn(lanes []*Channel, payload []byte, stripes i
 		for lane := 0; lane < nl; lane++ {
 			var batch []MemcpyReq
 			for i := lane; i < len(chunks); i += nl {
+				if !lr.sends(i) {
+					continue
+				}
 				if onStripe != nil {
 					onStripe(lane, chunks[i].Size)
 				}
 				batch = append(batch, req(i))
 			}
-			if len(batch) > 0 {
-				flush(lane, batch)
-			}
+			flush(lane, batch, true)
 		}
 		return nil
 	}
@@ -268,13 +300,13 @@ func (s *StaticSender) sendStripedOn(lanes []*Channel, payload []byte, stripes i
 		}
 		for i := start; i < end; i++ {
 			chk := chunks[i]
-			copy(staging[s.off+chk.Off:s.off+chk.Off+chk.Size], payload[chk.Off:chk.Off+chk.Size])
+			copy(staging[s.off+chk.Off:], payload[chk.Off:min(chk.Off+chk.Size, len(payload))])
 		}
 		for i := start; i < end; i++ {
 			if onStripe != nil {
 				onStripe(i%nl, chunks[i].Size)
 			}
-			flush(i%nl, []MemcpyReq{req(i)})
+			flush(i%nl, []MemcpyReq{req(i)}, i+nl >= len(chunks))
 		}
 		// On a real NIC the doorbell write activates the DMA engine at once;
 		// in the emulator each lane is a goroutine that must be scheduled to

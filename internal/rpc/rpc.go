@@ -237,7 +237,13 @@ func (c *Client) Call(method string, req []byte) ([]byte, error) {
 	if err != nil {
 		c.mu.Lock()
 		delete(c.pending, id)
+		closed := c.err
 		c.mu.Unlock()
+		if closed != nil {
+			// The send lost a race with Close (or a dead connection):
+			// report the client's terminal error, not the conn's.
+			return nil, fmt.Errorf("%w (send: %v)", closed, err)
+		}
 		return nil, err
 	}
 	res := <-ch
@@ -245,9 +251,11 @@ func (c *Client) Call(method string, req []byte) ([]byte, error) {
 }
 
 // Close tears the connection down; in-flight calls fail with ErrClosed.
+// The client is marked closed before the conn goes away, so a Call whose
+// send fails on the closing conn already sees ErrClosed.
 func (c *Client) Close() {
-	c.conn.Close()
 	c.failAll(ErrClosed)
+	c.conn.Close()
 	c.wg.Wait()
 }
 

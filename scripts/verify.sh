@@ -14,6 +14,11 @@ go vet ./...
 echo "== go test -race =="
 go test -race ./...
 
+# The benchmark is its own module built against this tree: an internal API
+# change that breaks it must fail here, not in a later benchmark run.
+echo "== go test -short (cmd/rdmadl-bench) =="
+(cd cmd/rdmadl-bench && go test -short ./...)
+
 # The compute kernels promise bit-identical results at every pool size; run
 # the packages that exercise that contract under the race detector at both
 # one and four scheduler threads.
