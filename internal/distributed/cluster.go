@@ -134,15 +134,15 @@ type Cluster struct {
 	stepStats map[string]*metrics.StepStat
 }
 
-// edgeDescMethod and edgeScratchMethod are the vanilla-RPC methods used for
+// edgeDescMethod and edgeBackMethod are the vanilla-RPC methods used for
 // address distribution (§3.1: "a simple vanilla RPC mechanism ... for this
-// auxiliary purpose of distributing remote memory addresses").
+// auxiliary purpose of distributing remote memory addresses"): a sender
+// fetches its receiver's slot descriptor, then pushes back the address of
+// the word its receiver answers into (Env.installBack).
 const (
-	edgeDescMethod    = "edge.desc"
-	edgeScratchMethod = "edge.scratch"
-	edgeCoalAckMethod = "edge.coalack"
-	edgeNackMethod    = "edge.nack"
-	rpcTimeout        = 10 * time.Second
+	edgeDescMethod = "edge.desc"
+	edgeBackMethod = "edge.back"
+	rpcTimeout     = 10 * time.Second
 )
 
 // Launch partitions the builder's graph with the mechanism's Send/Recv
@@ -259,61 +259,16 @@ func (c *Cluster) newServer(task string) (*Server, error) {
 		}
 		return d, nil
 	})
-	dev.RegisterRPC(edgeScratchMethod, func(from string, req []byte) ([]byte, error) {
+	dev.RegisterRPC(edgeBackMethod, func(from string, req []byte) ([]byte, error) {
 		key, desc, err := splitKeyPayload(req)
 		if err != nil {
 			return nil, err
 		}
-		scratch, err := rdma.UnmarshalDynSlotDesc(desc)
+		back, err := rdma.UnmarshalDynSlotDesc(desc)
 		if err != nil {
 			return nil, err
 		}
-		st, err := srv.Env.dynRecvState(key)
-		if err != nil {
-			return nil, err
-		}
-		st.mu.Lock()
-		st.senderScratch = scratch
-		st.mu.Unlock()
-		return nil, nil
-	})
-	dev.RegisterRPC(edgeCoalAckMethod, func(from string, req []byte) ([]byte, error) {
-		key, desc, err := splitKeyPayload(req)
-		if err != nil {
-			return nil, err
-		}
-		ack, err := rdma.UnmarshalDynSlotDesc(desc)
-		if err != nil {
-			return nil, err
-		}
-		g, err := srv.Env.coalRecvGroup(key)
-		if err != nil {
-			return nil, err
-		}
-		g.mu.Lock()
-		g.senderAck, g.haveAck = ack, true
-		g.mu.Unlock()
-		return nil, nil
-	})
-	dev.RegisterRPC(edgeNackMethod, func(from string, req []byte) ([]byte, error) {
-		key, desc, err := splitKeyPayload(req)
-		if err != nil {
-			return nil, err
-		}
-		scratch, err := rdma.UnmarshalDynSlotDesc(desc)
-		if err != nil {
-			return nil, err
-		}
-		st, err := srv.Env.staticRecvState(key)
-		if err != nil {
-			return nil, err
-		}
-		lr, ok := st.recv.(*rdma.LossyReceiver)
-		if !ok {
-			return nil, fmt.Errorf("%w: edge %q on %s is not lossy", ErrSetup, key, task)
-		}
-		lr.SetSenderScratch(scratch)
-		return nil, nil
+		return nil, srv.Env.installBack(key, back)
 	})
 	// Lease pings ride the same vanilla-RPC seam as address distribution
 	// (§3.1): membership is control-plane traffic. Registered
@@ -579,12 +534,10 @@ func (c *Cluster) setupSendEdge(src *Server, e analyzer.EdgeSpec) error {
 				return fmt.Errorf("edge %s: %w", e.Key, err)
 			}
 			// The receiver cannot NACK until it knows where the sender's
-			// NACK block lives; push it over the same idempotent RPC seam.
-			req := joinKeyPayload(e.Key, ls.NackScratch().Marshal())
-			if _, err := ch.CallRetry(edgeNackMethod, req,
-				rdma.TransferOpts{Deadline: rpcTimeout}); err != nil {
+			// NACK block lives.
+			if err := pushBack(ch, e.Key, ls.NackScratch()); err != nil {
 				ls.Close()
-				return fmt.Errorf("edge %s nack distribution: %w", e.Key, err)
+				return fmt.Errorf("edge %s: %w", e.Key, err)
 			}
 			st.sender = ls
 		}
@@ -614,12 +567,21 @@ func (c *Cluster) setupSendEdge(src *Server, e analyzer.EdgeSpec) error {
 	src.Env.mu.Lock()
 	src.Env.dynSend[e.Key] = &dynSendState{spec: e, sender: sender, dev: src.Dev}
 	src.Env.mu.Unlock()
-	req := joinKeyPayload(e.Key, sender.ScratchDesc().Marshal())
-	// Idempotent too: the handler overwrites the scratch descriptor
-	// with the same value.
-	if _, err := ch.CallRetry(edgeScratchMethod, req,
-		rdma.TransferOpts{Deadline: rpcTimeout}); err != nil {
-		return fmt.Errorf("edge %s scratch distribution: %w", e.Key, err)
+	if err := pushBack(ch, e.Key, sender.ScratchDesc()); err != nil {
+		return fmt.Errorf("edge %s: %w", e.Key, err)
+	}
+	return nil
+}
+
+// pushBack hands a receiver the address of the sender word it answers
+// into: the dyn scratch block, the coalesced ack word, or the lossy NACK
+// block. Idempotent (the handler overwrites the address with the same
+// value), so transient faults are retried.
+func pushBack(ch *rdma.Channel, key string, back rdma.DynSlotDesc) error {
+	_, err := ch.CallRetry(edgeBackMethod, joinKeyPayload(key, back.Marshal()),
+		rdma.TransferOpts{Deadline: rpcTimeout})
+	if err != nil {
+		return fmt.Errorf("back-channel distribution: %w", err)
 	}
 	return nil
 }
@@ -666,11 +628,11 @@ func (c *Cluster) setupCoalSendGroup(src *Server, p *coalPlan) error {
 	if err != nil {
 		return fmt.Errorf("coalesce group %s: %w", p.key, err)
 	}
-	desc, err := rdma.UnmarshalCoalescedSlotDesc(descBytes)
+	desc, err := rdma.UnmarshalStaticSlotDesc(descBytes)
 	if err != nil {
 		return fmt.Errorf("coalesce group %s: %w", p.key, err)
 	}
-	mr, err := src.allocEdgeMR(rdma.StaticSlotSize(desc.Capacity) + rdma.FlagWordSize)
+	mr, err := src.allocEdgeMR(rdma.StaticSlotSize(desc.PayloadSize) + rdma.FlagWordSize)
 	if err != nil {
 		return fmt.Errorf("coalesce group %s: %w", p.key, err)
 	}
@@ -688,11 +650,8 @@ func (c *Cluster) setupCoalSendGroup(src *Server, p *coalPlan) error {
 		src.Env.coalSendEdges[e.Key] = &coalSendEdge{spec: e, group: g, id: uint32(id)}
 	}
 	src.Env.mu.Unlock()
-	req := joinKeyPayload(p.key, sender.AckDesc().Marshal())
-	// Idempotent: the handler overwrites the ack descriptor in place.
-	if _, err := ch.CallRetry(edgeCoalAckMethod, req,
-		rdma.TransferOpts{Deadline: rpcTimeout}); err != nil {
-		return fmt.Errorf("coalesce group %s ack distribution: %w", p.key, err)
+	if err := pushBack(ch, p.key, sender.AckDesc()); err != nil {
+		return fmt.Errorf("coalesce group %s: %w", p.key, err)
 	}
 	return nil
 }
@@ -1128,7 +1087,6 @@ func (c *Cluster) teardownEdges() {
 			}
 		}
 		for _, st := range dynRecvs {
-			st.recv.Close()
 			st.mu.Lock()
 			pending := st.pendingFree
 			st.pendingFree = nil

@@ -401,14 +401,33 @@ func (e *Env) coalRecvEdge(key string) (*coalRecvEdge, error) {
 	return m, nil
 }
 
-func (e *Env) coalRecvGroup(key string) (*coalRecvGroup, error) {
+// installBack records the sender word a receiver answers into, on
+// whichever receive state is registered under key: a dynamic edge's
+// scratch block (its reuse ack), a coalesce group's ack word, or a lossy
+// edge's NACK block.
+func (e *Env) installBack(key string, back rdma.DynSlotDesc) error {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	g, ok := e.coalRecvGroups[key]
-	if !ok {
-		return nil, fmt.Errorf("%w: coalesce group %q not set up on %s", ErrComm, key, e.Task)
+	dyn, group, static := e.dynRecv[key], e.coalRecvGroups[key], e.staticRecv[key]
+	e.mu.Unlock()
+	switch {
+	case dyn != nil:
+		dyn.mu.Lock()
+		dyn.senderScratch = back
+		dyn.mu.Unlock()
+	case group != nil:
+		group.mu.Lock()
+		group.senderAck, group.haveAck = back, true
+		group.mu.Unlock()
+	case static != nil:
+		lr, ok := static.recv.(*rdma.LossyReceiver)
+		if !ok {
+			return fmt.Errorf("%w: edge %q on %s is not lossy", ErrSetup, key, e.Task)
+		}
+		lr.SetSenderScratch(back)
+	default:
+		return fmt.Errorf("%w: no receiver for edge %q on %s", ErrSetup, key, e.Task)
 	}
-	return g, nil
+	return nil
 }
 
 func (e *Env) client(task string) (*rpc.Client, error) {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/rdma"
 	"repro/internal/tensor"
 )
 
@@ -73,5 +74,38 @@ func TestRegionCountBounded(t *testing.T) {
 	after := cl2.Server("worker0").Dev.RegionCount()
 	if after != before {
 		t.Errorf("region count grew with iterations: %d -> %d", before, after)
+	}
+}
+
+// TestRebuildEdgesKeepsRegionCount: an edge rebuild (the recovery path)
+// must free every region the previous setup round registered. A coalescing
+// cluster exercises the batch slots and their reuse acks; any per-round
+// registration outside the edge-region list would grow the counts here.
+func TestRebuildEdgesKeepsRegionCount(t *testing.T) {
+	b, _ := buildPSTraining(t, 2, 1, 8, 12, 4, 0.2)
+	cl, err := Launch(b, Config{Kind: RDMA, ArenaBytes: 1 << 20,
+		Transfer: rdma.TransferOpts{CoalesceThreshold: 1 << 20}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	counts := func() map[string]int {
+		out := make(map[string]int)
+		for task, srv := range cl.serversSnapshot() {
+			out[task] = srv.Dev.RegionCount()
+		}
+		return out
+	}
+	before := counts()
+	const rounds = 5
+	for i := 0; i < rounds; i++ {
+		if err := cl.rebuildEdges(); err != nil {
+			t.Fatalf("rebuild %d: %v", i, err)
+		}
+	}
+	for task, n := range counts() {
+		if n != before[task] {
+			t.Errorf("%s: %d regions after %d rebuilds, %d before", task, n, rounds, before[task])
+		}
 	}
 }

@@ -34,9 +34,9 @@ type ServeSnapshot struct {
 	// queue's typed ErrOverloaded rejections; ServeBatches counts the
 	// inference batches the admitted queries rode in. RoutingRejects
 	// counts batches that found no routable replica.
-	QueriesServed int64
-	QueriesShed   int64
-	ServeBatches  int64
+	QueriesServed  int64
+	QueriesShed    int64
+	ServeBatches   int64
 	RoutingRejects int64
 	// StalenessVersionsMax is the largest trainer-minus-served version gap
 	// any response observed (the staleness gate asserts ≤ 1).

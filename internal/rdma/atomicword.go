@@ -32,29 +32,6 @@ func atomicLoad64(buf []byte, off int) uint64 {
 	return atomic.LoadUint64(p)
 }
 
-// atomicAdd64 atomically adds delta to the word at buf[off:off+8] and
-// returns the previous value (the fetch-and-add memory verb).
-func atomicAdd64(buf []byte, off int, delta uint64) uint64 {
-	p := wordPtr(buf, off)
-	return atomic.AddUint64(p, delta) - delta
-}
-
-// atomicCAS64 atomically compares the word at buf[off:off+8] with old and,
-// if equal, stores new; it returns the value observed before the operation
-// (the compare-and-swap memory verb, which always reports the prior value).
-func atomicCAS64(buf []byte, off int, old, new uint64) uint64 {
-	p := wordPtr(buf, off)
-	for {
-		cur := atomic.LoadUint64(p)
-		if cur != old {
-			return cur
-		}
-		if atomic.CompareAndSwapUint64(p, old, new) {
-			return old
-		}
-	}
-}
-
 func wordPtr(buf []byte, off int) *uint64 {
 	if off < 0 || off+8 > len(buf) {
 		panic(fmt.Sprintf("rdma: atomic word at %d out of bounds [0,%d)", off, len(buf)))

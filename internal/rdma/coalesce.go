@@ -1,10 +1,7 @@
 package rdma
 
 import (
-	"encoding/binary"
 	"fmt"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/wire"
 )
@@ -12,54 +9,18 @@ import (
 // Small-message coalescing: tensors below a size threshold bound for the
 // same peer share one slot instead of paying a full slot + flag round-trip
 // each. The sender stages sub-messages with the wire batch framing
-// (count-prefixed, length-delimited — see wire.BatchWriter), then flushes
-// payload and tail flag to the receiver's slot in one ascending write, so
-// the §3.2 flag contract is unchanged: a set flag means the whole batch
-// landed. Slot reuse is gated by a one-word ack the receiver posts after it
-// consumed the batch, like the dynamic protocol's reuse ack.
-
-// CoalescedSlotDesc addresses a receiver-side coalesced slot.
-type CoalescedSlotDesc struct {
-	Region RemoteRegion
-	// Off is the slot's offset in the region.
-	Off int
-	// Capacity is the batch payload capacity in bytes (framing included,
-	// tail flag excluded).
-	Capacity int
-}
-
-// Marshal encodes the descriptor for address distribution.
-func (d CoalescedSlotDesc) Marshal() []byte {
-	buf := make([]byte, 0, 16+d.Region.wireSize())
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(d.Off))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(d.Capacity))
-	return append(buf, d.Region.Marshal()...)
-}
-
-// UnmarshalCoalescedSlotDesc decodes a descriptor produced by Marshal.
-func UnmarshalCoalescedSlotDesc(buf []byte) (CoalescedSlotDesc, error) {
-	var d CoalescedSlotDesc
-	if len(buf) < 16 {
-		return d, fmt.Errorf("rdma: short coalesced slot descriptor (%d bytes)", len(buf))
-	}
-	d.Off = int(binary.LittleEndian.Uint64(buf))
-	d.Capacity = int(binary.LittleEndian.Uint64(buf[8:]))
-	region, err := UnmarshalRemoteRegion(buf[16:])
-	if err != nil {
-		return d, err
-	}
-	d.Region = region
-	return d, nil
-}
+// (count-prefixed, length-delimited — see wire.BatchWriter) into the
+// payload of one ack-gated static slot (ackSlot), so the §3.2 flag contract
+// is unchanged: a set flag means the whole batch landed. Slot reuse is gated
+// by the reuse ack the receiver posts after it consumed the batch, exactly
+// as on the dynamic protocol's metadata slot. The slot's descriptor is a
+// StaticSlotDesc whose PayloadSize is the batch capacity.
 
 // CoalescedReceiver owns one batch slot fed by a single peer's
 // CoalescedSender.
 type CoalescedReceiver struct {
-	mr       *MemRegion
-	off      int
-	capacity int
-	ch       *Channel   // channel to the sender, for ack writes
-	ackSrc   *MemRegion // one word containing FlagSet
+	slot *StaticReceiver
+	ch   *Channel // channel to the sender, for ack writes
 	// source, when set, supplies AckRetry's channel per attempt (QP mux).
 	source LaneSource
 }
@@ -70,114 +31,71 @@ func (r *CoalescedReceiver) SetLaneSource(src LaneSource) { r.source = src }
 // NewCoalescedReceiver claims [off, off+StaticSlotSize(capacity)) of mr as
 // the batch slot for a sender reached via ch, and clears its flag.
 func NewCoalescedReceiver(ch *Channel, mr *MemRegion, off, capacity int) (*CoalescedReceiver, error) {
-	if off%8 != 0 {
-		return nil, fmt.Errorf("rdma: coalesced slot offset %d not 8-aligned: %w", off, ErrBadConfig)
-	}
 	if capacity < wire.BatchHeaderSize {
 		return nil, fmt.Errorf("rdma: coalesced slot capacity %d below batch header %d: %w",
 			capacity, wire.BatchHeaderSize, ErrBadConfig)
 	}
-	if _, err := mr.Slice(off, StaticSlotSize(capacity)); err != nil {
-		return nil, err
-	}
-	ackSrc, err := mr.dev.AllocateMemRegion(FlagWordSize)
+	slot, err := NewStaticReceiver(mr, off, capacity)
 	if err != nil {
 		return nil, err
 	}
-	ackSrc.SetFlagLocal(0)
-	r := &CoalescedReceiver{mr: mr, off: off, capacity: capacity, ch: ch, ackSrc: ackSrc}
-	mr.ClearFlag(r.flagOff())
-	return r, nil
+	return &CoalescedReceiver{slot: slot, ch: ch}, nil
 }
-
-func (r *CoalescedReceiver) flagOff() int { return r.off + alignUp(r.capacity) }
 
 // Desc returns the remotely shareable slot address.
-func (r *CoalescedReceiver) Desc() CoalescedSlotDesc {
-	return CoalescedSlotDesc{Region: r.mr.Descriptor(), Off: r.off, Capacity: r.capacity}
-}
+func (r *CoalescedReceiver) Desc() StaticSlotDesc { return r.slot.Desc() }
 
 // Poll reports whether a complete batch has arrived (acquire semantics).
-func (r *CoalescedReceiver) Poll() bool { return r.mr.PollFlag(r.flagOff()) }
+func (r *CoalescedReceiver) Poll() bool { return r.slot.Poll() }
 
 // Messages decodes the arrived batch. Valid only after Poll returned true
 // and before Consume; payloads alias the slot, so callers keeping them past
 // Consume must copy.
 func (r *CoalescedReceiver) Messages() ([]wire.SubMsg, error) {
-	return wire.DecodeBatch(r.mr.Bytes()[r.off : r.off+r.capacity])
+	return wire.DecodeBatch(r.slot.Payload())
 }
 
 // Consume clears the flag for the next batch. The sender still cannot
 // overwrite the slot until AckRetry posted the reuse ack.
-func (r *CoalescedReceiver) Consume() { r.mr.ClearFlag(r.flagOff()) }
+func (r *CoalescedReceiver) Consume() { r.slot.Consume() }
 
 // AckRetry posts the reuse ack into the sender's ack word, unblocking its
-// next Flush. Call after Consume (and after copying any payloads out); the
-// ack is a constant one-word write, so retrying it is idempotent.
+// next FlushRetry. Call after Consume (and after copying any payloads out).
 func (r *CoalescedReceiver) AckRetry(senderAck DynSlotDesc, opts TransferOpts) error {
-	return retryLoop(opts, fmt.Sprintf("coalesced ack to %s", r.ch.Remote()), func() error {
-		ch, release, err := laneFor(r.source, r.ch.Remote(), r.ch)
-		if err != nil {
-			return err
-		}
-		defer release()
-		return ch.MemcpySync(0, r.ackSrc, senderAck.Off, senderAck.Region,
-			FlagWordSize, OpWrite)
-	})
+	return r.slot.ackRetry(r.source, r.ch, senderAck, opts)
 }
 
 // CoalescedSender stages sub-messages for one peer's batch slot and flushes
 // them as a single flagged write.
 type CoalescedSender struct {
-	ch       *Channel
-	mr       *MemRegion
-	off      int
-	capacity int
-	desc     CoalescedSlotDesc
-	w        *wire.BatchWriter
-	// source, when set, supplies FlushRetry's channel per attempt (QP mux).
-	source  LaneSource
-	started atomic.Bool // atomic: flushers and scheduler pollers race
+	*ackSlot
+	w *wire.BatchWriter
 }
 
-// SetLaneSource routes FlushRetry through a per-attempt lane source.
-func (s *CoalescedSender) SetLaneSource(src LaneSource) { s.source = src }
-
-// NewCoalescedSender claims [off, off+StaticSlotSize(capacity)+FlagWordSize)
-// of mr: the staging batch, the staged tail flag, and the ack word the
-// receiver writes back.
-func NewCoalescedSender(ch *Channel, mr *MemRegion, off int, desc CoalescedSlotDesc) (*CoalescedSender, error) {
-	if off%8 != 0 {
-		return nil, fmt.Errorf("rdma: coalesced staging offset %d not 8-aligned: %w", off, ErrBadConfig)
-	}
-	if desc.Region.Endpoint != ch.Remote() {
-		return nil, fmt.Errorf("rdma: coalesced slot on %s but channel to %s: %w",
-			desc.Region.Endpoint, ch.Remote(), ErrBadConfig)
-	}
-	if _, err := mr.Slice(off, StaticSlotSize(desc.Capacity)+FlagWordSize); err != nil {
-		return nil, err
-	}
-	w, err := wire.NewBatchWriter(mr.Bytes()[off : off+desc.Capacity])
+// NewCoalescedSender claims [off, off+StaticSlotSize(desc.PayloadSize)+
+// FlagWordSize) of mr: the staging batch, the staged tail flag, and the ack
+// word the receiver writes back.
+func NewCoalescedSender(ch *Channel, mr *MemRegion, off int, desc StaticSlotDesc) (*CoalescedSender, error) {
+	slot, err := newAckSlot(ch, mr, off, desc)
 	if err != nil {
 		return nil, err
 	}
-	s := &CoalescedSender{ch: ch, mr: mr, off: off, capacity: desc.Capacity, desc: desc, w: w}
-	mr.ClearFlag(s.ackOff())
-	return s, nil
+	w, err := wire.NewBatchWriter(slot.s.Buffer())
+	if err != nil {
+		return nil, err
+	}
+	return &CoalescedSender{ackSlot: slot, w: w}, nil
 }
-
-func (s *CoalescedSender) flagOff() int { return s.off + alignUp(s.capacity) }
-func (s *CoalescedSender) ackOff() int  { return s.flagOff() + FlagWordSize }
 
 // AckDesc returns the address of the sender's ack word for the receiver.
 func (s *CoalescedSender) AckDesc() DynSlotDesc {
-	return DynSlotDesc{Region: s.mr.Descriptor(), Off: s.ackOff()}
+	return DynSlotDesc{Region: s.s.mr.Descriptor(), Off: s.ackOff()}
 }
 
 // Stage appends one sub-message to the pending batch. The batch buffer is
 // only safe to mutate while the previous flush has been acked; callers
-// serialize Stage/Flush per sender (the distributed layer holds a group
-// lock).
+// serialize Stage/FlushRetry per sender (the distributed layer holds a
+// group lock).
 func (s *CoalescedSender) Stage(id uint32, payload []byte) error {
 	return s.w.Append(id, payload)
 }
@@ -188,62 +106,14 @@ func (s *CoalescedSender) Reset() { s.w.Reset() }
 // Count reports the sub-messages staged since the last Reset.
 func (s *CoalescedSender) Count() int { return s.w.Count() }
 
-// StagedBytes reports the encoded batch size so far.
-func (s *CoalescedSender) StagedBytes() int { return s.w.Len() }
-
-// PollReusable reports whether the previous batch has been acked (or none
-// was sent yet), i.e. whether Flush may transmit.
-func (s *CoalescedSender) PollReusable() bool {
-	if !s.started.Load() {
-		return true
-	}
-	return s.mr.PollFlag(s.ackOff())
-}
-
-// Flush transmits the staged batch: payload and tail flag in one ascending
-// write, exactly like StaticSender.Send, so the flag is never visible before
-// the full batch. Returns ErrBusy while the previous batch is unacked. cb
-// fires on a CQ poller when the write completes locally.
-func (s *CoalescedSender) Flush(cb func(error)) error { return s.flushOn(s.ch, cb) }
-
-// flushOn is Flush over an explicit channel (per-attempt lane acquisition).
-func (s *CoalescedSender) flushOn(ch *Channel, cb func(error)) error {
-	if !s.PollReusable() {
-		return ErrBusy
-	}
-	s.started.Store(true)
-	s.mr.ClearFlag(s.ackOff())
-	s.mr.SetFlagLocal(s.flagOff())
-	return ch.Memcpy(s.off, s.mr, s.desc.Off, s.desc.Region,
-		StaticSlotSize(s.capacity), OpWrite, cb)
-}
-
-// FlushRetry is Flush blocking until the write completed, retrying ErrBusy
-// (ack still in flight) and transient fabric faults within the opts budget.
-// A failed attempt never made the flag visible, so re-sending the identical
-// batch is safe; the ack the attempt cleared is re-armed so the next attempt
-// does not deadlock on its own busy check.
+// FlushRetry transmits the staged batch — payload and tail flag in one
+// ascending write, so the flag is never visible before the full batch —
+// blocking until the write completed and retrying ErrBusy (previous batch
+// unacked) and transient fabric faults within the opts budget. A failed
+// attempt never made the flag visible, so re-sending the identical batch is
+// safe.
 func (s *CoalescedSender) FlushRetry(opts TransferOpts) error {
-	start := time.Now()
 	staged := s.w.Len()
-	err := retryLoop(opts, fmt.Sprintf("coalesced flush %dB to %s", staged, s.ch.Remote()),
-		func() error {
-			ch, release, lerr := laneFor(s.source, s.ch.Remote(), s.ch)
-			if lerr != nil {
-				return lerr
-			}
-			defer release()
-			done := make(chan error, 1)
-			if err := s.flushOn(ch, notifyOnce(done)); err != nil {
-				return err
-			}
-			err := <-done
-			if err != nil {
-				// The failed write never reached the receiver, so no ack will
-				// arrive for it: re-arm the ack word Flush cleared.
-				s.mr.SetFlagLocal(s.ackOff())
-			}
-			return err
-		})
-	return observeComplete(opts, staged, start, err)
+	return s.sendRetry(fmt.Sprintf("coalesced flush %dB to %s", staged, s.s.ch.Remote()),
+		staged, nil, opts)
 }

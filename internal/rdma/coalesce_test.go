@@ -168,20 +168,3 @@ func TestCoalescedFlushSurvivesDrops(t *testing.T) {
 		}
 	}
 }
-
-func TestCoalescedSlotDescRoundTrip(t *testing.T) {
-	d := CoalescedSlotDesc{
-		Region: RemoteRegion{Endpoint: "hostB:1", RegionID: 7, Size: 4096},
-		Off:    64, Capacity: 512,
-	}
-	got, err := UnmarshalCoalescedSlotDesc(d.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != d {
-		t.Fatalf("round trip %+v -> %+v", d, got)
-	}
-	if _, err := UnmarshalCoalescedSlotDesc([]byte{1, 2}); err == nil {
-		t.Fatal("short descriptor accepted")
-	}
-}

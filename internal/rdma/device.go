@@ -427,7 +427,6 @@ type wrKind uint8
 const (
 	wrTransfer wrKind = iota
 	wrMessage
-	wrAtomic
 )
 
 type workRequest struct {
@@ -444,13 +443,10 @@ type workRequest struct {
 	// two-sided message payload
 	payload []byte
 
-	// one-sided atomic operation
-	atomic atomicRequest
-
-	// tag, when non-nil, marks this write as part of the lossy selective-
-	// retransmit protocol (see retransmit.go): chunk writes become silently
-	// droppable and land via epoch-guarded placement; control words carry
-	// their value inline.
+	// tag, when non-nil, marks this write as a lossy-protocol chunk (see
+	// retransmit.go), silently droppable and landing via epoch-guarded
+	// placement, or as a control word carrying its value inline (the lossy
+	// protocol's headers and every reuse ack).
 	tag *writeTag
 
 	cb func(error)
@@ -517,8 +513,6 @@ func (qp *queuePair) run() {
 			err = qp.dev.executeTransfer(qp.peer, wr)
 		case wrMessage:
 			err = qp.dev.executeMessage(qp.peer, wr.payload)
-		case wrAtomic:
-			err = qp.dev.executeAtomic(qp.peer, wr.atomic)
 		}
 		if wr.kind == wrTransfer {
 			hooks := qp.dev.fabric.hooksSnapshot()
@@ -603,30 +597,34 @@ func (d *Device) executeTransfer(peer string, wr workRequest) error {
 	return nil
 }
 
-// executeTagged performs a tagged write of the lossy protocol. A control
-// word stores its inline value. A chunk may be silently dropped by the
-// lossy hooks (the completion still succeeds — a packet lost on an
-// unreliable fabric) and otherwise lands through the region's
-// epoch-guarded placement, which discards stale chunks and stamps the
-// arrival word the receiver scans.
+// executeTagged performs a tagged write. A control word (a lossy-protocol
+// header word, or any reuse ack) stores its inline value. A chunk of the
+// lossy protocol may be silently dropped by the lossy hooks (the completion
+// still succeeds — a packet lost on an unreliable fabric) and otherwise
+// lands through the region's epoch-guarded placement, which discards stale
+// chunks and stamps the arrival word the receiver scans. Every write that
+// reached memory counts for OnTransfer; a dropped chunk does not.
 func (d *Device) executeTagged(remoteMR *MemRegion, wr workRequest, hooks Hooks) error {
 	t := wr.tag
 	if t.kind == tagWord {
-		return remoteMR.storeGuarded(wr.remoteOff, t.word)
-	}
-	if hooks.Lossy && hooks.ChunkDrop != nil && hooks.ChunkDrop(t.tag, wr.size) {
-		return nil // lost on the wire: memory untouched, completion succeeds
-	}
-	local, err := wr.local.Slice(wr.localOff, wr.size)
-	if err != nil {
-		return err
-	}
-	placed, err := remoteMR.placeChunk(t, wr.remoteOff, local)
-	if err != nil {
-		return err
-	}
-	if !placed && hooks.OnChunkStale != nil {
-		hooks.OnChunkStale(t.tag)
+		if err := remoteMR.storeGuarded(wr.remoteOff, t.word); err != nil {
+			return err
+		}
+	} else {
+		if hooks.Lossy && hooks.ChunkDrop != nil && hooks.ChunkDrop(t.tag, wr.size) {
+			return nil // lost on the wire: memory untouched, completion succeeds
+		}
+		local, err := wr.local.Slice(wr.localOff, wr.size)
+		if err != nil {
+			return err
+		}
+		placed, err := remoteMR.placeChunk(t, wr.remoteOff, local)
+		if err != nil {
+			return err
+		}
+		if !placed && hooks.OnChunkStale != nil {
+			hooks.OnChunkStale(t.tag)
+		}
 	}
 	if hooks.OnTransfer != nil {
 		hooks.OnTransfer(wr.op, wr.size)
@@ -767,14 +765,18 @@ type MemcpyReq struct {
 // (all-or-none). Completion callbacks fire individually per request, in
 // queue order, exactly as with Memcpy.
 func (c *Channel) MemcpyBatch(reqs []MemcpyReq) error {
-	wrs := make([]workRequest, len(reqs))
-	for i, r := range reqs {
+	var buf [4]workRequest // small batches post without a heap slice
+	wrs := buf[:0]
+	if len(reqs) > len(buf) {
+		wrs = make([]workRequest, 0, len(reqs))
+	}
+	for _, r := range reqs {
 		wr, err := transferWR(r.LocalOff, r.Local, r.RemoteOff, r.Remote, r.Size, r.Dir, r.CB)
 		if err != nil {
 			return err
 		}
 		wr.tag = r.tag
-		wrs[i] = wr
+		wrs = append(wrs, wr)
 	}
 	return c.qp.postBatch(wrs)
 }

@@ -234,6 +234,37 @@ func TestTransferHooks(t *testing.T) {
 	}
 }
 
+// TestOnTransferCountsInlineWords: an inline control word (a reuse ack
+// here) is a completed one-sided write like any other, so OnTransfer sees
+// exactly one 8-byte write for it.
+func TestOnTransferCountsInlineWords(t *testing.T) {
+	f, a, b := newPair(t)
+	var writes, bytesMoved atomic.Int64
+	f.SetHooks(Hooks{OnTransfer: func(op Op, size int) {
+		if op == OpWrite {
+			writes.Add(1)
+		}
+		bytesMoved.Add(int64(size))
+	}})
+	slotMR, _ := a.AllocateMemRegion(StaticSlotSize(8))
+	slot, err := NewStaticReceiver(slotMR, 0, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ackMR, _ := b.AllocateMemRegion(FlagWordSize)
+	ack := DynSlotDesc{Region: ackMR.Descriptor()}
+	if err := slot.ackRetry(nil, chanTo(t, a, "hostB:1"), ack, TransferOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	if !ackMR.PollFlag(0) {
+		t.Fatal("ack word not set")
+	}
+	if writes.Load() != 1 || bytesMoved.Load() != FlagWordSize {
+		t.Errorf("OnTransfer saw %d writes, %d bytes; want 1 write of %d bytes",
+			writes.Load(), bytesMoved.Load(), FlagWordSize)
+	}
+}
+
 func TestMessaging(t *testing.T) {
 	_, a, b := newPair(t)
 	got := make(chan string, 1)

@@ -8,7 +8,8 @@ import (
 // The lossy protocol's control plane (retransmit.go): its two headers and
 // the inline one-word writes that carry them. Control writes are reliable
 // (error-based completion) and never droppable; a batch of them posted on
-// one QP lands in order, the epoch (validity) word last.
+// one QP lands in order, the epoch (validity) word last. The lossless
+// protocols' reuse acks ride the same inline writes (StaticReceiver.postAck).
 
 // ctlDescWireSize encodes either control header: four LE words.
 const ctlDescWireSize = 32
@@ -106,14 +107,23 @@ func (w ctlWord) req(local *MemRegion, localOff int, remote RemoteRegion, cb fun
 
 // postControl posts words as one doorbell batch on ch. A QP executes in
 // order, so a reader that observes the last word (the caller's validity
-// word) observes every word before it. cb fires once, after every write
-// completed, with the first error.
+// word) observes every word before it. cb fires after every write
+// completed, with the first error; a single word (a reuse ack) hands its
+// completion straight to cb, so callers dedup duplicated completions.
 func postControl(ch *Channel, local *MemRegion, localOff int, remote RemoteRegion,
 	words []ctlWord, cb func(error)) {
-	join := newStripeJoin(len(words), cb)
-	reqs := make([]MemcpyReq, len(words))
+	var join *stripeJoin
+	if len(words) > 1 {
+		join = newStripeJoin(len(words), cb)
+	}
+	var buf [4]MemcpyReq // a header's words; no heap slice per post
+	reqs := buf[:0]
 	for i, w := range words {
-		reqs[i] = w.req(local, localOff, remote, join.chunkCB(i))
+		wcb := cb
+		if join != nil {
+			wcb = join.chunkCB(i)
+		}
+		reqs = append(reqs, w.req(local, localOff, remote, wcb))
 	}
 	if err := ch.MemcpyBatch(reqs); err != nil {
 		for _, r := range reqs {

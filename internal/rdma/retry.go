@@ -333,6 +333,51 @@ func (r *StaticReceiver) Wait(opts TransferOpts) error {
 	return waitCond(opts, "static recv flag", r.Poll)
 }
 
+// --- Ack-gated slot ---
+
+// sendRetry is the gate's send blocking until the write completed,
+// retrying ErrBusy (ack still in flight) and transient fabric faults within
+// the opts budget, over one lane per attempt (leased when a LaneSource is
+// set). A failed write never touched the receiver (faults strike before
+// memory writes), so no ack will ever arrive for it: the attempt re-arms the
+// ack word the gate cleared, or every later attempt would see ErrBusy.
+func (a *ackSlot) sendRetry(what string, bytes int, stage []byte, opts TransferOpts) error {
+	start := time.Now()
+	err := retryLoop(opts, what, func() error {
+		ch, release, err := laneFor(a.s.source, a.s.ch.Remote(), a.s.ch)
+		if err != nil {
+			return err
+		}
+		defer release()
+		done := make(chan error, 1)
+		if err := a.send(ch, stage, notifyOnce(done)); err != nil {
+			return err
+		}
+		if err := <-done; err != nil {
+			a.s.mr.SetFlagLocal(a.ackOff())
+			return err
+		}
+		return nil
+	})
+	return observeComplete(opts, bytes, start, err)
+}
+
+// ackRetry is postAck blocking until the ack landed, retrying transient
+// faults within the opts budget; with src set each attempt leases its lane.
+// The ack is a constant one-word write, so re-posting it is idempotent.
+func (r *StaticReceiver) ackRetry(src LaneSource, ch *Channel, ack DynSlotDesc, opts TransferOpts) error {
+	return retryLoop(opts, "reuse ack", func() error {
+		lane, release, err := laneFor(src, ch.Remote(), ch)
+		if err != nil {
+			return err
+		}
+		defer release()
+		done := make(chan error, 1)
+		r.postAck(lane, ack, notifyOnce(done))
+		return <-done
+	})
+}
+
 // --- Dynamic allocation ---
 
 // SendRetry stages and sends the metadata like Send, but blocks until the
@@ -340,30 +385,12 @@ func (r *StaticReceiver) Wait(opts TransferOpts) error {
 // and transient transfer failures as retryable within the opts budget.
 func (s *DynSender) SendRetry(payloadMR *MemRegion, payloadOff, payloadSize int,
 	dtype uint32, dims []uint64, opts TransferOpts) error {
-	start := time.Now()
-	err := retryLoop(opts, fmt.Sprintf("dyn send %dB to %s", payloadSize, s.ch.Remote()),
-		func() error {
-			ch, release, lerr := laneFor(s.source, s.ch.Remote(), s.ch)
-			if lerr != nil {
-				return lerr
-			}
-			defer release()
-			done := make(chan error, 1)
-			if err := s.sendOn(ch, payloadMR, payloadOff, payloadSize, dtype, dims,
-				notifyOnce(done)); err != nil {
-				return err
-			}
-			err := <-done
-			if err != nil {
-				// The failed write never touched the receiver (faults strike
-				// before memory writes), so no ack will ever arrive for it:
-				// re-arm the ack flag Send cleared, or every subsequent
-				// attempt would see ErrBusy forever.
-				s.mr.SetFlagLocal(s.off + dynMetaAckOff)
-			}
-			return err
-		})
-	return observeComplete(opts, payloadSize, start, err)
+	var img [dynMetaFlagOff]byte
+	if err := encodeDynMeta(img[:], payloadMR, payloadOff, payloadSize, dtype, dims); err != nil {
+		return err
+	}
+	return s.sendRetry(fmt.Sprintf("dyn send %dB to %s", payloadSize, s.s.ch.Remote()),
+		payloadSize, img[:], opts)
 }
 
 // WaitMeta blocks until the metadata flag is set and returns the decoded
@@ -382,7 +409,7 @@ func (r *DynReceiver) WaitMeta(opts TransferOpts) (DynMeta, error) {
 
 // FetchRetry is Fetch with bounded retry: the payload read and the reuse
 // ack are each retried within the opts budget, and the call blocks until
-// the ack write completed (unlike Fetch, which fires it and forgets).
+// the ack landed.
 // With opts.Stripes > 1 and registered lanes, the payload read is split
 // into chunks pulled concurrently over distinct channels; the ack — the
 // dyn protocol's analogue of the tail flag — is only posted after every
@@ -395,7 +422,7 @@ func (r *DynReceiver) FetchRetry(meta DynMeta, senderScratch DynSlotDesc,
 	dst *MemRegion, dstOff int, opts TransferOpts) error {
 	o := opts.withDefaults()
 	start := time.Now()
-	r.mr.ClearFlag(r.off + dynMetaFlagOff)
+	r.slot.Consume()
 	size := int(meta.PayloadSize)
 	// With a LaneSource the lease spans the whole fetch (reads + ack): the
 	// per-chunk MemcpyRetry loops below already recover chunk-granular, and
@@ -440,8 +467,7 @@ func (r *DynReceiver) FetchRetry(meta DynMeta, senderScratch DynSlotDesc,
 			}
 		}
 	}
-	if err := lanes[0].MemcpyRetry(0, r.ackSrc, senderScratch.Off+dynMetaAckOff,
-		senderScratch.Region, FlagWordSize, OpWrite, o); err != nil {
+	if err := r.slot.ackRetry(nil, lanes[0], dynAck(senderScratch), o); err != nil {
 		return fmt.Errorf("rdma: dyn fetch ack: %w", err)
 	}
 	return observeComplete(o, size, start, nil)

@@ -38,25 +38,3 @@ func FuzzUnmarshalStripeDesc(f *testing.F) {
 		}
 	})
 }
-
-// FuzzUnmarshalCoalescedSlotDesc: the coalesced slot descriptor decoder must
-// be total and accepted inputs must round-trip through Marshal.
-func FuzzUnmarshalCoalescedSlotDesc(f *testing.F) {
-	f.Add(CoalescedSlotDesc{Region: RemoteRegion{Endpoint: "h:1", RegionID: 3, Size: 64}, Off: 8, Capacity: 32}.Marshal())
-	f.Add(CoalescedSlotDesc{}.Marshal())
-	f.Add([]byte{0xff})
-
-	f.Fuzz(func(t *testing.T, b []byte) {
-		d, err := UnmarshalCoalescedSlotDesc(b)
-		if err != nil {
-			return
-		}
-		got, err := UnmarshalCoalescedSlotDesc(d.Marshal())
-		if err != nil {
-			t.Fatalf("canonical re-encoding rejected: %v", err)
-		}
-		if got != d {
-			t.Fatalf("round trip %+v -> %+v", d, got)
-		}
-	})
-}

@@ -20,10 +20,11 @@ import (
 // rank does not, so the receiver preallocates only a fixed-size metadata
 // slot. The sender writes (dims, dtype, source address) plus flag; the
 // receiver polls, allocates the tensor, and pulls the payload with a
-// one-sided RDMA read, then posts a one-word ack back into the sender's
+// one-sided RDMA read, then posts an inline ack word back into the sender's
 // scratch block so the sender knows the source buffer may be reused (in the
 // paper this reuse gating comes from the data-flow graph's loop control
-// dependency; the explicit ack makes the protocol self-contained).
+// dependency; the explicit ack makes the protocol self-contained). The
+// metadata slot is an ack-gated static slot (ackSlot).
 
 // ErrBusy is returned when a sender is asked to transmit before the
 // previous transfer on the edge has been consumed.
@@ -191,6 +192,73 @@ func (s *StaticSender) SendFrom(payload []byte, cb func(error)) error {
 	return s.Send(cb)
 }
 
+// --- Ack-gated slot ---
+
+// ackSlot is a static slot whose reuse its receiver gates: a StaticSender
+// plus the reuse-ack word right after the staged tail flag. A send clears
+// the ack and writes payload+flag in one ascending single-lane write; the
+// receiver, once it consumed the slot, hands it back with postAck. The
+// dynamic protocol's metadata slot and the coalesced batch slot are both
+// ack-gated slots.
+type ackSlot struct {
+	s *StaticSender
+	// started is atomic: the scheduler polls PollReusable from its worker
+	// goroutine while a send runs on the edge's transfer goroutine.
+	started atomic.Bool
+}
+
+// newAckSlot claims [off, off+StaticSlotSize(desc.PayloadSize)+FlagWordSize)
+// of mr: staging, staged tail flag, and the ack word.
+func newAckSlot(ch *Channel, mr *MemRegion, off int, desc StaticSlotDesc) (*ackSlot, error) {
+	s, err := NewStaticSender(ch, mr, off, desc)
+	if err != nil {
+		return nil, err
+	}
+	a := &ackSlot{s: s}
+	if _, err := mr.Slice(a.ackOff(), FlagWordSize); err != nil {
+		return nil, err
+	}
+	mr.ClearFlag(a.ackOff())
+	return a, nil
+}
+
+func (a *ackSlot) ackOff() int { return a.s.off + StaticSlotSize(a.s.desc.PayloadSize) }
+
+// SetLaneSource routes the slot's blocking sends through a per-attempt lane
+// source.
+func (a *ackSlot) SetLaneSource(src LaneSource) { a.s.SetLaneSource(src) }
+
+// PollReusable reports whether the previous send has been acked (or none
+// happened yet), i.e. whether the slot may be written again.
+func (a *ackSlot) PollReusable() bool {
+	return !a.started.Load() || a.s.mr.PollFlag(a.ackOff())
+}
+
+// send is the gate: ErrBusy while the previous send is unacked; otherwise
+// it clears the ack, copies stage (if any) into the staging buffer — only
+// now, since the previous write may read the buffer until the ack — and
+// writes payload+flag on ch. cb fires when the write completes locally.
+func (a *ackSlot) send(ch *Channel, stage []byte, cb func(error)) error {
+	if !a.PollReusable() {
+		return ErrBusy
+	}
+	a.started.Store(true)
+	a.s.mr.ClearFlag(a.ackOff())
+	copy(a.s.Buffer(), stage)
+	if err := a.s.sendOn(ch, cb); err != nil {
+		a.s.mr.SetFlagLocal(a.ackOff()) // nothing posted, so no ack will come
+		return err
+	}
+	return nil
+}
+
+// postAck hands a consumed ack-gated slot back to its sender: FlagSet lands
+// in the sender's ack word as one inline control word, so the receiver
+// needs no source region of its own. cb fires once the word landed.
+func (r *StaticReceiver) postAck(ch *Channel, ack DynSlotDesc, cb func(error)) {
+	postControl(ch, r.mr, r.off, ack.Region, []ctlWord{{ack.Off, FlagSet}}, cb)
+}
+
 // --- Dynamic allocation protocol ---
 
 // MaxDims is the maximum tensor rank the fixed-size metadata block can
@@ -254,13 +322,12 @@ func UnmarshalDynSlotDesc(buf []byte) (DynSlotDesc, error) {
 	return d, nil
 }
 
-// DynReceiver owns a preallocated metadata slot for one dynamic edge.
+// DynReceiver owns a preallocated metadata slot for one dynamic edge: a
+// static slot whose payload is the metadata image (dynMetaFlagOff bytes).
 type DynReceiver struct {
-	mr     *MemRegion
-	off    int
+	slot   *StaticReceiver
 	sender string // the edge's fixed sender endpoint
 	ch     *Channel
-	ackSrc *MemRegion // one word containing FlagSet, source of ack writes
 	lanes  []*Channel // channels for striped fetches; lanes[0] == ch
 	// source, when set, supplies FetchRetry's lanes per call (QP mux mode).
 	source LaneSource
@@ -269,45 +336,34 @@ type DynReceiver struct {
 // SetLaneSource routes FetchRetry through a per-call lane source.
 func (r *DynReceiver) SetLaneSource(src LaneSource) { r.source = src }
 
-// NewDynReceiver claims DynMetaSize bytes at off in mr as the metadata slot
-// for an edge whose sender is reached via ch.
+// NewDynReceiver claims the metadata slot at off in mr (DynMetaSize bytes
+// reserved; the ack word stays unused on this side) for an edge whose
+// sender is reached via ch.
 func NewDynReceiver(ch *Channel, mr *MemRegion, off int) (*DynReceiver, error) {
-	if off%8 != 0 {
-		return nil, fmt.Errorf("rdma: dyn meta offset %d not 8-aligned: %w", off, ErrBadConfig)
-	}
-	if _, err := mr.Slice(off, DynMetaSize); err != nil {
-		return nil, err
-	}
-	ackSrc, err := mr.dev.AllocateMemRegion(FlagWordSize)
+	slot, err := NewStaticReceiver(mr, off, dynMetaFlagOff)
 	if err != nil {
 		return nil, err
 	}
-	ackSrc.SetFlagLocal(0)
-	r := &DynReceiver{mr: mr, off: off, sender: ch.Remote(), ch: ch, ackSrc: ackSrc,
-		lanes: []*Channel{ch}}
-	mr.ClearFlag(off + dynMetaFlagOff)
-	return r, nil
+	return &DynReceiver{slot: slot, sender: ch.Remote(), ch: ch, lanes: []*Channel{ch}}, nil
 }
 
 // Desc returns the metadata slot's address for distribution to the sender.
 func (r *DynReceiver) Desc() DynSlotDesc {
-	return DynSlotDesc{Region: r.mr.Descriptor(), Off: r.off}
+	return DynSlotDesc{Region: r.slot.mr.Descriptor(), Off: r.slot.off}
 }
 
-// Close releases the receiver's internally allocated ack-source region.
-// Call when the edge is torn down (e.g. rebuilt after a peer crash) so
-// repeated setup rounds do not accumulate registrations.
-func (r *DynReceiver) Close() {
-	r.mr.dev.FreeMemRegion(r.ackSrc)
-}
+// Close is a no-op: the receiver registers no region of its own (the reuse
+// ack is an inline control word). It remains for callers that pair every
+// receiver with a teardown.
+func (r *DynReceiver) Close() {}
 
 // Poll checks the metadata flag; when set it decodes and returns the
 // metadata (leaving the flag set until Fetch clears it).
 func (r *DynReceiver) Poll() (DynMeta, bool) {
-	if !r.mr.PollFlag(r.off + dynMetaFlagOff) {
+	if !r.slot.Poll() {
 		return DynMeta{}, false
 	}
-	m, err := DecodeDynMeta(r.mr.Bytes()[r.off:r.off+DynMetaSize], r.sender)
+	m, err := DecodeDynMeta(r.slot.Payload(), r.sender)
 	if err != nil {
 		// Unreachable for a full-size slot; keep Poll's signature simple.
 		return DynMeta{}, false
@@ -346,71 +402,48 @@ func DecodeDynMeta(b []byte, sender string) (DynMeta, error) {
 
 // Fetch clears the metadata flag, pulls the payload into
 // dst[dstOff:dstOff+meta.PayloadSize) with a one-sided read, and then posts
-// the reuse ack into the sender's scratch block. cb fires after the read
-// completes locally (the ack write is issued but not awaited, matching the
-// one-way nature of the protocol).
+// the reuse ack into the sender's scratch block. cb fires once the ack
+// landed, or with the read's error.
 func (r *DynReceiver) Fetch(meta DynMeta, senderScratch DynSlotDesc, dst *MemRegion, dstOff int, cb func(error)) error {
-	r.mr.ClearFlag(r.off + dynMetaFlagOff)
+	r.slot.Consume()
 	size := int(meta.PayloadSize)
 	return r.ch.Memcpy(dstOff, dst, int(meta.SrcOff), meta.Src, size, OpRead, func(err error) {
 		if err != nil {
 			cb(err)
 			return
 		}
-		ackErr := r.ch.Memcpy(0, r.ackSrc, senderScratch.Off+dynMetaAckOff,
-			senderScratch.Region, FlagWordSize, OpWrite, nil)
-		cb(ackErr)
+		r.slot.postAck(r.ch, dynAck(senderScratch), cb)
 	})
 }
 
-// DynSender owns the sender-side scratch block for one dynamic edge: the
-// staged metadata image plus the ack word the receiver writes back.
-type DynSender struct {
-	ch   *Channel
-	mr   *MemRegion
-	off  int
-	meta DynSlotDesc // receiver's metadata slot
-	// source, when set, supplies SendRetry's channel per attempt (QP mux).
-	source LaneSource
-	// started is atomic: the scheduler polls PollReusable from its worker
-	// goroutine while Send runs on the edge's transfer goroutine.
-	started atomic.Bool
+// dynAck addresses the ack word of a sender's scratch block.
+func dynAck(scratch DynSlotDesc) DynSlotDesc {
+	scratch.Off += dynMetaAckOff
+	return scratch
 }
 
-// SetLaneSource routes SendRetry through a per-attempt lane source.
-func (s *DynSender) SetLaneSource(src LaneSource) { s.source = src }
+// DynSender owns the sender-side scratch block for one dynamic edge: an
+// ack-gated slot whose payload is the staged metadata image, with the ack
+// word the receiver writes back right after its flag.
+type DynSender struct {
+	*ackSlot
+}
 
 // NewDynSender claims DynMetaSize bytes at off in mr as scratch for sends to
 // the given receiver metadata slot.
 func NewDynSender(ch *Channel, mr *MemRegion, off int, meta DynSlotDesc) (*DynSender, error) {
-	if off%8 != 0 {
-		return nil, fmt.Errorf("rdma: dyn scratch offset %d not 8-aligned: %w", off, ErrBadConfig)
-	}
-	if _, err := mr.Slice(off, DynMetaSize); err != nil {
+	slot, err := newAckSlot(ch, mr, off,
+		StaticSlotDesc{Region: meta.Region, Off: meta.Off, PayloadSize: dynMetaFlagOff})
+	if err != nil {
 		return nil, err
 	}
-	if meta.Region.Endpoint != ch.Remote() {
-		return nil, fmt.Errorf("rdma: meta slot on %s but channel to %s: %w",
-			meta.Region.Endpoint, ch.Remote(), ErrBadConfig)
-	}
-	s := &DynSender{ch: ch, mr: mr, off: off, meta: meta}
-	mr.ClearFlag(off + dynMetaAckOff)
-	return s, nil
+	return &DynSender{slot}, nil
 }
 
 // ScratchDesc returns the scratch block's address, which the receiver needs
 // for ack writes.
 func (s *DynSender) ScratchDesc() DynSlotDesc {
-	return DynSlotDesc{Region: s.mr.Descriptor(), Off: s.off}
-}
-
-// PollReusable reports whether the previous transfer has been acked (or no
-// transfer has happened yet), i.e. whether Send may be called.
-func (s *DynSender) PollReusable() bool {
-	if !s.started.Load() {
-		return true
-	}
-	return s.mr.PollFlag(s.off + dynMetaAckOff)
+	return DynSlotDesc{Region: s.s.mr.Descriptor(), Off: s.s.off}
 }
 
 // Send stages the metadata describing payload[payloadOff, +payloadSize) of
@@ -419,42 +452,31 @@ func (s *DynSender) PollReusable() bool {
 // Returns ErrBusy if the previous transfer has not been acked yet.
 func (s *DynSender) Send(payloadMR *MemRegion, payloadOff, payloadSize int,
 	dtype uint32, dims []uint64, cb func(error)) error {
-	return s.sendOn(s.ch, payloadMR, payloadOff, payloadSize, dtype, dims, cb)
+	var img [dynMetaFlagOff]byte
+	if err := encodeDynMeta(img[:], payloadMR, payloadOff, payloadSize, dtype, dims); err != nil {
+		return err
+	}
+	return s.send(s.s.ch, img[:], cb)
 }
 
-// sendOn is Send over an explicit channel (per-attempt lane acquisition).
-func (s *DynSender) sendOn(ch *Channel, payloadMR *MemRegion, payloadOff, payloadSize int,
-	dtype uint32, dims []uint64, cb func(error)) error {
+// encodeDynMeta validates one transfer's description and encodes its
+// metadata image (the layout above, flag excluded) into the zeroed b.
+func encodeDynMeta(b []byte, payloadMR *MemRegion, payloadOff, payloadSize int,
+	dtype uint32, dims []uint64) error {
 	if len(dims) > MaxDims {
 		return fmt.Errorf("rdma: rank %d exceeds MaxDims %d: %w", len(dims), MaxDims, ErrBadConfig)
 	}
 	if _, err := payloadMR.Slice(payloadOff, payloadSize); err != nil {
 		return err
 	}
-	if !s.PollReusable() {
-		return ErrBusy
-	}
-	s.started.Store(true)
-	s.mr.ClearFlag(s.off + dynMetaAckOff)
-
-	b := s.mr.Bytes()[s.off : s.off+DynMetaSize]
 	binary.LittleEndian.PutUint32(b, dtype)
 	binary.LittleEndian.PutUint32(b[4:], uint32(len(dims)))
-	for i := 0; i < MaxDims; i++ {
-		var d uint64
-		if i < len(dims) {
-			d = dims[i]
-		}
+	for i, d := range dims {
 		binary.LittleEndian.PutUint64(b[8+8*i:], d)
 	}
 	binary.LittleEndian.PutUint32(b[72:], payloadMR.ID())
-	binary.LittleEndian.PutUint32(b[76:], 0)
 	binary.LittleEndian.PutUint64(b[80:], uint64(payloadMR.Size()))
 	binary.LittleEndian.PutUint64(b[88:], uint64(payloadOff))
 	binary.LittleEndian.PutUint64(b[96:], uint64(payloadSize))
-	s.mr.SetFlagLocal(s.off + dynMetaFlagOff)
-
-	// Write metadata + flag (but not the ack word) in one ascending write.
-	return ch.Memcpy(s.off, s.mr, s.meta.Off, s.meta.Region,
-		dynMetaFlagOff+FlagWordSize, OpWrite, cb)
+	return nil
 }

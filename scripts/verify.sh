@@ -11,6 +11,14 @@ go build ./...
 echo "== go vet =="
 go vet ./...
 
+echo "== gofmt =="
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+	echo "gofmt: unformatted files:"
+	echo "$unformatted"
+	exit 1
+fi
+
 echo "== go test -race =="
 go test -race ./...
 
@@ -25,11 +33,11 @@ echo "== go test -short (cmd/rdmadl-bench) =="
 echo "== go test -race -cpu=1,4 (kernel parallelism) =="
 go test -race -cpu=1,4 ./internal/parallel/ ./internal/tensor/ ./internal/exec/
 
-# Crash-recovery and close/poll regression gates. go test -race ./... above
-# already runs these; naming them keeps the acceptance bar explicit even if
-# package filters change.
+# Crash-recovery and close/poll regression gates, including the edge-rebuild
+# region-leak check. go test -race ./... above already runs these; naming
+# them keeps the acceptance bar explicit even if package filters change.
 echo "== recovery & close/poll regression gates (-race) =="
-go test -race -run '^TestRecoveryWorkerCrashBitIdentical$|^TestHeartbeatDetectorExpiresAndResumes$|^TestLoadCheckpointRestoresRegisteredStorage$' ./internal/distributed/
+go test -race -run '^TestRecoveryWorkerCrashBitIdentical$|^TestHeartbeatDetectorExpiresAndResumes$|^TestLoadCheckpointRestoresRegisteredStorage$|^TestRebuildEdgesKeepsRegionCount$' ./internal/distributed/
 go test -race -run '^TestCloseMidTransferFailsFast$|^TestCloseMidStripedTransferFailsFast$|^TestClosePeerSeversThenRebuilds$' ./internal/rdma/
 go test -race -run '^TestPurePollingBoundedSpin$|^TestPollBackoffPreservesFairness$' ./internal/exec/
 
@@ -103,7 +111,6 @@ go test -run=NONE -fuzz='^FuzzUnmarshalStaticSlotDesc$' -fuzztime="$FUZZTIME" ./
 go test -run=NONE -fuzz='^FuzzUnmarshalDynSlotDesc$' -fuzztime="$FUZZTIME" ./internal/rdma/
 go test -run=NONE -fuzz='^FuzzDecodeDynMeta$' -fuzztime="$FUZZTIME" ./internal/rdma/
 go test -run=NONE -fuzz='^FuzzUnmarshalStripeDesc$' -fuzztime="$FUZZTIME" ./internal/rdma/
-go test -run=NONE -fuzz='^FuzzUnmarshalCoalescedSlotDesc$' -fuzztime="$FUZZTIME" ./internal/rdma/
 go test -run=NONE -fuzz='^FuzzUnmarshalRetransmitDesc$' -fuzztime="$FUZZTIME" ./internal/rdma/
 go test -run=NONE -fuzz='^FuzzUnmarshalNackDesc$' -fuzztime="$FUZZTIME" ./internal/rdma/
 go test -run=NONE -fuzz='^FuzzTensorMessageUnmarshal$' -fuzztime="$FUZZTIME" ./internal/wire/
