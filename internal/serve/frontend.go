@@ -177,10 +177,36 @@ func (f *Frontend) batchLoop() {
 	}
 }
 
+// pickPoll is how often pick re-tries the table while a staged replica
+// activates.
+const pickPoll = 50 * time.Microsecond
+
+// pick selects the batch's replica. Publish returns once the version word
+// is written, but a replica only becomes routable when its swap loop next
+// polls that word; a batch dispatched in between waits for it, up to
+// BatchWait, rather than failing with ErrNoReplica. With no staged replica
+// (nothing published, or every replica dead) it fails at once.
+func (f *Frontend) pick() *Replica {
+	deadline := time.Now().Add(f.cfg.BatchWait)
+	for {
+		if r := f.cfg.Table.Pick(); r != nil {
+			return r
+		}
+		if !f.cfg.Table.Staged() || time.Now().After(deadline) {
+			return nil
+		}
+		select {
+		case <-f.stopCh:
+			return nil
+		case <-time.After(pickPoll):
+		}
+	}
+}
+
 // dispatch routes one batch: pick a replica, pin its active bank, run the
 // padded batch, and demux rows back to their waiters.
 func (f *Frontend) dispatch(batch []*pending) {
-	r := f.cfg.Table.Pick()
+	r := f.pick()
 	if r == nil {
 		if f.cfg.Metrics != nil {
 			f.cfg.Metrics.AddRoutingReject()

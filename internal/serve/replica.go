@@ -225,6 +225,26 @@ func (r *Replica) Infer(ref *BankRef, x *tensor.Tensor) (*tensor.Tensor, error) 
 	return out[r.cfg.Spec.Fetch], nil
 }
 
+// Staged reports whether a bank holds a committed version newer than the
+// active one that the swap loop has not activated yet — the replica is at
+// most one SwapPoll away from serving it.
+func (r *Replica) Staged() bool { return r.committed(r.active.Load()) != 0 }
+
+// committed returns the newest committed version above cur found in either
+// bank's version word, or 0 if there is none.
+func (r *Replica) committed(cur uint64) uint64 {
+	var next uint64
+	for b := 0; b < 2; b++ {
+		w := r.banks[b].mr.LoadWord(r.cfg.Layout.VersionOff())
+		// A bank only ever holds versions congruent to its index; an
+		// inconsistent word is a partially seen publish — skip it.
+		if w > cur && int(w%2) == b && w > next {
+			next = w
+		}
+	}
+	return next
+}
+
 // swapLoop is the replica's version watcher: poll both banks' version
 // words, swap to a committed newer version (the word is written only after
 // the payload, so a committed word implies a complete snapshot), drain the
@@ -238,15 +258,7 @@ func (r *Replica) swapLoop() {
 		default:
 		}
 		cur := r.active.Load()
-		var next uint64
-		for b := 0; b < 2; b++ {
-			w := r.banks[b].mr.LoadWord(r.cfg.Layout.VersionOff())
-			// A bank only ever holds versions congruent to its index; an
-			// inconsistent word is a partially seen publish — skip it.
-			if w > cur && int(w%2) == b && w > next {
-				next = w
-			}
-		}
+		next := r.committed(cur)
 		if next == 0 {
 			select {
 			case <-r.stopCh:

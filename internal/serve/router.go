@@ -112,6 +112,20 @@ func (rt *RoutingTable) Pick() *Replica {
 	return best.r
 }
 
+// Staged reports whether some live replica holds a committed version its
+// swap loop has not activated yet, i.e. whether a Pick that found nothing
+// will find a replica within one SwapPoll.
+func (rt *RoutingTable) Staged() bool {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	for _, e := range rt.entries {
+		if !e.dead && e.r.Staged() {
+			return true
+		}
+	}
+	return false
+}
+
 // Done returns a batch slot taken by Pick.
 func (rt *RoutingTable) Done(task string) {
 	rt.mu.Lock()
