@@ -34,7 +34,7 @@ func main() {
 	versions := flag.Int("versions", 20, "weight versions to publish")
 	publishEvery := flag.Duration("publish-every", 20*time.Millisecond, "publication cadence (the trainer's snapshot interval)")
 	clients := flag.Int("clients", 8, "concurrent closed-loop query clients")
-	batch := flag.Int("batch", 16, "inference batch geometry (queries padded per dispatch)")
+	batch := flag.Int("batch", 16, "most queries one dispatch carries (each runs as one row)")
 	in := flag.Int("in", 32, "model input width")
 	hidden := flag.Int("hidden", 64, "model hidden width")
 	classes := flag.Int("classes", 8, "model output classes")

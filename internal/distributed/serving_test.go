@@ -20,7 +20,7 @@ func servingTestSpec(batch, n int) serve.ForwardSpec {
 		Feed: "x", Fetch: "out",
 		Batch: batch, Inputs: n, Classes: n,
 		Build: func(b *graph.Builder) error {
-			x := b.Placeholder("x", graph.Static(tensor.Float32, batch, n))
+			x := b.Placeholder("x", graph.Dyn(tensor.Float32, -1, n))
 			w := b.Variable("w", graph.Static(tensor.Float32, n, n))
 			bias := b.Variable("b", graph.Static(tensor.Float32, n))
 			b.BiasAdd("out", b.MatMul("mm", x, w), bias)

@@ -58,9 +58,9 @@ type ServeCost struct {
 	// batch (the marginal row cost; matmul batching amortizes the rest).
 	RowComputeUS float64
 	// BatchOverheadUS is the fixed per-batch cost: dispatch, feed
-	// assembly, padding, demux.
+	// assembly, demux.
 	BatchOverheadUS float64
-	// BatchSize is the frontend's static batch dimension.
+	// BatchSize is the most rows one frontend dispatch carries.
 	BatchSize int
 	// SwapDrainUS is how long a replica is out of service per version
 	// swap: draining pinned readers of the old bank plus the ack

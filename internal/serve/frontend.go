@@ -33,9 +33,9 @@ type Result struct {
 type FrontendConfig struct {
 	// Table routes batches to replicas.
 	Table *RoutingTable
-	// Spec fixes the batch geometry: dispatched batches are padded to
-	// Spec.Batch rows (the placeholder's static leading dim) and results
-	// are Spec.Classes wide.
+	// Spec fixes the batch geometry: a dispatch carries at most Spec.Batch
+	// queries, runs exactly as many rows as it carries, and results are
+	// Spec.Classes wide.
 	Spec ForwardSpec
 	// MaxQueue bounds admitted-but-undispatched queries (default 1024);
 	// beyond it Query sheds with ErrOverloaded.
@@ -62,9 +62,9 @@ type outcome struct {
 	err error
 }
 
-// Frontend is the query entry point: a bounded admission queue feeding a
-// batcher that packs queries into fixed-geometry inference batches and
-// routes each batch through the table.
+// Frontend is the query entry point: a bounded admission queue feeding one
+// batcher per replica, each packing queries into an inference batch and
+// routing it through the table, so the replicas run batches at once.
 type Frontend struct {
 	cfg FrontendConfig
 	q   chan *pending
@@ -107,15 +107,20 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 	return f, nil
 }
 
-// Start launches the batcher; idempotent.
+// Start launches one batcher per replica in the table (at least one);
+// idempotent. Pick sends each batch to the replica with the fewest
+// outstanding, so concurrent batches land on different replicas.
 func (f *Frontend) Start() {
 	f.startOnce.Do(func() {
-		f.wg.Add(1)
-		go f.batchLoop()
+		n := max(f.cfg.Table.size(), 1)
+		f.wg.Add(n)
+		for i := 0; i < n; i++ {
+			go f.batchLoop()
+		}
 	})
 }
 
-// Close stops the batcher; queries still in the queue fail with
+// Close stops the batchers; queries still in the queue fail with
 // ErrNoReplica-free shutdown errors only if waited on after Close.
 func (f *Frontend) Close() {
 	f.stopOnce.Do(func() { close(f.stopCh) })
@@ -146,7 +151,7 @@ func (f *Frontend) Query(x []float32) (Result, error) {
 	}
 }
 
-// batchLoop drains the queue into fixed-size batches: dispatch as soon as
+// batchLoop drains the shared queue into batches: dispatch as soon as
 // Spec.Batch queries are waiting, or after BatchWait with whatever arrived.
 func (f *Frontend) batchLoop() {
 	defer f.wg.Done()
@@ -185,14 +190,17 @@ const pickPoll = 50 * time.Microsecond
 // is written, but a replica only becomes routable when its swap loop next
 // polls that word; a batch dispatched in between waits for it, up to
 // BatchWait, rather than failing with ErrNoReplica. With no staged replica
-// (nothing published, or every replica dead) it fails at once.
+// (nothing published, or every replica dead) it fails at once. "Staged"
+// comes from the same table pass that found nothing to pick, so a swap
+// landing mid-pass cannot make both answers negative.
 func (f *Frontend) pick() *Replica {
 	deadline := time.Now().Add(f.cfg.BatchWait)
 	for {
-		if r := f.cfg.Table.Pick(); r != nil {
+		r, staged := f.cfg.Table.pick()
+		if r != nil {
 			return r
 		}
-		if !f.cfg.Table.Staged() || time.Now().After(deadline) {
+		if !staged || time.Now().After(deadline) {
 			return nil
 		}
 		select {
@@ -203,8 +211,8 @@ func (f *Frontend) pick() *Replica {
 	}
 }
 
-// dispatch routes one batch: pick a replica, pin its active bank, run the
-// padded batch, and demux rows back to their waiters.
+// dispatch routes one batch: pick a replica, pin its active bank, run one
+// row per query, and demux rows back to their waiters.
 func (f *Frontend) dispatch(batch []*pending) {
 	r := f.pick()
 	if r == nil {
@@ -228,7 +236,7 @@ func (f *Frontend) dispatch(batch []*pending) {
 	defer ref.Release()
 
 	spec := f.cfg.Spec
-	x := tensor.New(tensor.Float32, spec.Batch, spec.Inputs)
+	x := tensor.New(tensor.Float32, len(batch), spec.Inputs)
 	xs := x.Float32s()
 	for i, p := range batch {
 		copy(xs[i*spec.Inputs:(i+1)*spec.Inputs], p.x)

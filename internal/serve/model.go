@@ -8,8 +8,8 @@ import (
 // MLPForward is the serving-side twin of the training MLP: the same
 // variable set (w1, b1, w2, b2 with the same shapes — the layout contract)
 // but forward-only, ending in a softmax instead of the training loss. The
-// fixed leading batch dim is the frontend's dispatch geometry: partial
-// batches are zero-padded to it.
+// feed's leading dim is dynamic: each dispatch runs exactly the rows it
+// carries, at most batch of them.
 func MLPForward(batch, in, hidden, classes int) ForwardSpec {
 	return ForwardSpec{
 		Feed:    "x",
@@ -18,7 +18,7 @@ func MLPForward(batch, in, hidden, classes int) ForwardSpec {
 		Inputs:  in,
 		Classes: classes,
 		Build: func(b *graph.Builder) error {
-			x := b.Placeholder("x", graph.Static(tensor.Float32, batch, in))
+			x := b.Placeholder("x", graph.Dyn(tensor.Float32, -1, in))
 			w1 := b.Variable("w1", graph.Static(tensor.Float32, in, hidden))
 			b1 := b.Variable("b1", graph.Static(tensor.Float32, hidden))
 			w2 := b.Variable("w2", graph.Static(tensor.Float32, hidden, classes))

@@ -23,8 +23,9 @@ type ForwardSpec struct {
 	Build func(b *graph.Builder) error
 	// Feed is the input placeholder's name; Fetch the output node's.
 	Feed, Fetch string
-	// Batch is the fixed inference batch (rows per run); Inputs the
-	// feature width; Classes the output width.
+	// Batch is the most rows one run carries (the feed's leading dim is
+	// dynamic, so a run takes any row count up to it); Inputs the feature
+	// width; Classes the output width.
 	Batch, Inputs, Classes int
 }
 
@@ -94,7 +95,9 @@ type Replica struct {
 
 // NewReplica registers the replica's two banks on its device and builds
 // the per-bank forward executors (frozen: a graph with variable updates is
-// rejected — serving memory is owned by the publisher).
+// rejected — serving memory is owned by the publisher). The feed must have
+// a dynamic leading dim, so a batch runs at its real row count; a static
+// one fails with ErrBadConfig.
 func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	if cfg.Dev == nil || cfg.Layout == nil || cfg.Spec.Build == nil {
 		return nil, fmt.Errorf("serve: replica needs Dev, Layout, Spec: %w", rdma.ErrBadConfig)
@@ -112,6 +115,14 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	g, err := gb.Finish()
 	if err != nil {
 		return nil, fmt.Errorf("serve: forward graph: %w", err)
+	}
+	feed, err := g.Node(cfg.Spec.Feed)
+	if err != nil {
+		return nil, fmt.Errorf("serve: forward feed: %v: %w", err, rdma.ErrBadConfig)
+	}
+	if sh := feed.Sig().Shape; sh.Rank() == 0 || sh[0] >= 0 {
+		return nil, fmt.Errorf("serve: feed %q shape %v needs a dynamic leading dim: %w",
+			cfg.Spec.Feed, sh, rdma.ErrBadConfig)
 	}
 	r := &Replica{cfg: cfg, g: g, stopCh: make(chan struct{})}
 	for i := range r.banks {

@@ -85,11 +85,25 @@ func (rt *RoutingTable) publishActiveLocked() {
 // a drain — deprioritizing is a latency choice, not a safety one). Returns
 // nil when no live replica has a version to serve.
 func (rt *RoutingTable) Pick() *Replica {
+	r, _ := rt.pick()
+	return r
+}
+
+// pick is Pick that, when it finds nothing, also reports whether a live
+// replica holds a staged version. Both answers come from one read of each
+// replica's active version: a swap that lands mid-pick leaves the bank's
+// version word set, so the replica it activates still reads as staged and
+// the caller retries rather than failing.
+func (rt *RoutingTable) pick() (r *Replica, staged bool) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	var best, bestSwapping *routeEntry
 	for _, e := range rt.entries {
-		if e.dead || e.r.ActiveVersion() == 0 {
+		if e.dead {
+			continue
+		}
+		if v := e.r.ActiveVersion(); v == 0 {
+			staged = staged || e.r.committed(v) != 0
 			continue
 		}
 		if e.r.Swapping() {
@@ -106,10 +120,17 @@ func (rt *RoutingTable) Pick() *Replica {
 		best = bestSwapping
 	}
 	if best == nil {
-		return nil
+		return nil, staged
 	}
 	best.outstanding++
-	return best.r
+	return best.r, false
+}
+
+// size returns the number of replicas the table holds, dead ones included.
+func (rt *RoutingTable) size() int {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return len(rt.entries)
 }
 
 // Staged reports whether some live replica holds a committed version its

@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -24,7 +25,7 @@ func affineSpec(batch, n int) ForwardSpec {
 		Feed: "x", Fetch: "out",
 		Batch: batch, Inputs: n, Classes: n,
 		Build: func(b *graph.Builder) error {
-			x := b.Placeholder("x", graph.Static(tensor.Float32, batch, n))
+			x := b.Placeholder("x", graph.Dyn(tensor.Float32, -1, n))
 			w := b.Variable("w", graph.Static(tensor.Float32, n, n))
 			bias := b.Variable("b", graph.Static(tensor.Float32, n))
 			b.BiasAdd("out", b.MatMul("mm", x, w), bias)
@@ -80,12 +81,17 @@ type fleet struct {
 
 func newFleet(t *testing.T, batch, n, lanes int) *fleet {
 	t.Helper()
+	return newFleetFor(t, affineStore(t, n), affineSpec(batch, n), lanes)
+}
+
+// newFleetFor is newFleet for any trainer store and the spec serving it.
+func newFleetFor(t *testing.T, vars *exec.VarStore, spec ForwardSpec, lanes int) *fleet {
+	t.Helper()
 	fabric := rdma.NewFabric()
 	tdev, err := rdma.CreateDevice(fabric, rdma.Config{Endpoint: "trainer"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	vars := affineStore(t, n)
 	layout, err := LayoutFor(vars, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +106,7 @@ func newFleet(t *testing.T, batch, n, lanes int) *fleet {
 	}
 	return &fleet{
 		fabric: fabric, tdev: tdev, vars: vars, layout: layout,
-		pub: pub, spec: affineSpec(batch, n), met: met,
+		pub: pub, spec: spec, met: met,
 	}
 }
 
@@ -606,5 +612,169 @@ func TestPublisherBankHeldTimeout(t *testing.T) {
 		} else if time.Now().After(deadline) {
 			t.Fatalf("publish never recovered after release: %v", err)
 		}
+	}
+}
+
+// TestInferRunsRealRowCount: MLPForward's feed takes any row count up to
+// Spec.Batch, a 3-row feed returns 3 rows, and each row's bits match the
+// same row run inside a full batch (the kernels are row-partitioned).
+func TestInferRunsRealRowCount(t *testing.T) {
+	const batch, in, hidden, classes = 4, 8, 16, 5
+	vars := exec.NewVarStore()
+	rng := rand.New(rand.NewSource(1))
+	for _, v := range []struct {
+		name  string
+		shape []int
+	}{{"w1", []int{in, hidden}}, {"b1", []int{hidden}}, {"w2", []int{hidden, classes}}, {"b2", []int{classes}}} {
+		w := tensor.New(tensor.Float32, v.shape...)
+		tensor.RandomUniform(w, rng, 0.5)
+		if err := vars.Create(v.name, w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := newFleetFor(t, vars, MLPForward(batch, in, hidden, classes), 1)
+	r, _ := f.addReplica(t, "replica0")
+	v, err := f.pub.Publish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitVersion(t, r, v)
+	ref, ok := r.Acquire()
+	if !ok {
+		t.Fatal("replica not serving")
+	}
+	defer ref.Release()
+
+	full := tensor.New(tensor.Float32, batch, in)
+	tensor.RandomUniform(full, rng, 1)
+	want, err := r.Infer(ref, full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows = 3
+	x, _ := tensor.FromFloat32(tensor.Shape{rows, in}, full.Float32s()[:rows*in])
+	got, err := r.Infer(ref, x)
+	if err != nil {
+		t.Fatalf("infer %d rows: %v", rows, err)
+	}
+	if !got.Shape().Equal(tensor.Shape{rows, classes}) {
+		t.Fatalf("infer %d rows: output shape %v, want [%d %d]", rows, got.Shape(), rows, classes)
+	}
+	for i, g := range got.Float32s() {
+		if w := want.Float32s()[i]; g != w {
+			t.Fatalf("element %d = %v in a %d-row batch, %v in a %d-row batch", i, g, rows, w, batch)
+		}
+	}
+}
+
+// TestNewReplicaRejectsStaticBatchFeed: a feed with a static leading dim
+// would force padding to one geometry, so the replica refuses it.
+func TestNewReplicaRejectsStaticBatchFeed(t *testing.T) {
+	const n = 8
+	f := newFleet(t, 2, n, 1)
+	spec := f.spec
+	spec.Build = func(b *graph.Builder) error {
+		x := b.Placeholder("x", graph.Static(tensor.Float32, 2, n))
+		w := b.Variable("w", graph.Static(tensor.Float32, n, n))
+		bias := b.Variable("b", graph.Static(tensor.Float32, n))
+		b.BiasAdd("out", b.MatMul("mm", x, w), bias)
+		return b.Err()
+	}
+	dev, err := rdma.CreateDevice(f.fabric, rdma.Config{Endpoint: "replica0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dev.Close()
+	_, err = NewReplica(ReplicaConfig{Task: "replica0", Dev: dev, Layout: f.layout, Spec: spec})
+	if !errors.Is(err, rdma.ErrBadConfig) {
+		t.Fatalf("static-batch feed: err=%v, want ErrBadConfig", err)
+	}
+}
+
+// outstandingOn reads the table's in-flight batch count for one replica.
+func outstandingOn(rt *RoutingTable, task string) int {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if e, ok := rt.entries[task]; ok {
+		return e.outstanding
+	}
+	return 0
+}
+
+// TestParallelDispatchAcrossReplicas: with replica0 stuck inside a batch,
+// a new query is answered by replica1 — the frontend runs a dispatcher per
+// replica instead of one loop parked on the busy replica.
+func TestParallelDispatchAcrossReplicas(t *testing.T) {
+	const n = 8
+	f := newFleet(t, 4, n, 1)
+	r0, _ := f.addReplica(t, "replica0")
+	r1, _ := f.addReplica(t, "replica1")
+	table := NewRoutingTable(f.met)
+	table.Add(r0)
+	table.Add(r1)
+	fe, err := NewFrontend(FrontendConfig{
+		Table: table, Spec: f.spec, BatchWait: 100 * time.Microsecond, Metrics: f.met,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe.Start()
+	defer fe.Close()
+	v := f.publishNext(t)
+	waitVersion(t, r0, v)
+	waitVersion(t, r1, v)
+
+	r0.runMu.Lock() // replica0's next batch blocks inside Infer
+	release := sync.OnceFunc(r0.runMu.Unlock)
+	defer release() // before fe.Close, which waits for the parked dispatcher
+
+	query := func() chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, err := fe.Query(ones(n))
+			done <- err
+		}()
+		return done
+	}
+	// Send queries one at a time until Pick parks one on replica0; the
+	// ones it routes to replica1 meanwhile are answered.
+	deadline := time.Now().Add(5 * time.Second)
+	parkedOn0 := func(done chan error) bool {
+		for outstandingOn(table, "replica0") == 0 {
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("probe query: %v", err)
+				}
+				return false
+			case <-time.After(50 * time.Microsecond):
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("no query was routed to replica0")
+			}
+		}
+		return true
+	}
+	var parked chan error
+	for parked == nil {
+		if done := query(); parkedOn0(done) {
+			parked = done
+		}
+	}
+
+	select {
+	case err := <-query():
+		if err != nil {
+			t.Fatalf("query while replica0 is busy: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("query not answered while replica0 is busy: dispatch is serialized behind it")
+	}
+	if got := outstandingOn(table, "replica0"); got != 1 {
+		t.Fatalf("replica0 outstanding %d while its batch is parked, want 1", got)
+	}
+	release()
+	if err := <-parked; err != nil {
+		t.Fatalf("parked query after release: %v", err)
 	}
 }

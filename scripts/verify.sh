@@ -91,12 +91,14 @@ go test -race -run '^TestQPBusyRetriesDoNotBurnRetryBudget$' ./internal/rdma/
 # — a trainer crash mid-publication leaves every replica on the last
 # complete version (the version word is written after the payload, so a
 # partial bank is never observable). Overload-shed — the frontend's bounded
-# queue sheds typed ErrOverloaded instead of queueing unboundedly. Plus the
+# queue sheds typed ErrOverloaded instead of queueing unboundedly. Dispatch
+# — a batch waits for a staged replica instead of failing, and a busy
+# replica does not hold up a batch another replica can take. Plus the
 # crash/readmission cycle through the lease detector, the QP-mux sever-race
 # regression, the histogram torn-snapshot fixes, the netsim million-user
 # model, and the trainer-flag validation matrix.
 echo "== serving plane gates (-race) =="
-go test -race -run '^TestStalenessBoundUnderLoad$|^TestPublishBitIdentical$|^TestTrainerCrashMidPublication$|^TestOverloadShed$|^TestPublisherBankHeldTimeout$|^TestReplicaRestartReadmission$' ./internal/serve/
+go test -race -run '^TestStalenessBoundUnderLoad$|^TestPublishBitIdentical$|^TestTrainerCrashMidPublication$|^TestOverloadShed$|^TestPublisherBankHeldTimeout$|^TestReplicaRestartReadmission$|^TestDispatchWaitsForStagedReplica$|^TestParallelDispatchAcrossReplicas$' ./internal/serve/
 go test -race -run '^TestServingFleetCrashRecovery$|^TestServingFleetOverload$' ./internal/distributed/
 go test -race -run '^TestQPMuxSeverRace$' ./internal/rdma/
 go test -race -run '^TestQuantileTornSnapshot$|^TestQuantileEdgeCases$|^TestMergeFamiliesUnion$' ./internal/metrics/
