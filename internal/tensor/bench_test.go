@@ -17,8 +17,8 @@ import (
 //	parallel — the new kernel on a 4-worker pool.
 //
 // On a single-core machine serial ≈ parallel and the speedup over seed comes
-// from cache blocking and im2col alone; bench.sh records runtime.NumCPU so
-// the numbers are interpretable.
+// from register blocking, the axpy4 micro-kernel and im2col alone; bench.sh
+// records runtime.NumCPU so the numbers are interpretable.
 
 // seedMatMul is the kernel MatMul shipped with before this PR: i-k-j axpy
 // with a zero-skip, no register blocking, no parallelism.
@@ -125,6 +125,46 @@ func BenchmarkMatMul(b *testing.B) {
 				}
 			})
 		})
+	}
+}
+
+// BenchmarkMatMulTrainShapes times the matmuls of an MLP training step with
+// batch 32 and 512-wide layers: the forward products 32×512×512 and
+// 32×512×64 (m×k×n) and the weight gradient aᵀ@b, 512×32×512, each serial
+// and on 2 workers. It is separate from BenchmarkMatMul, whose sub-benchmark
+// names scripts/bench.sh matches.
+func BenchmarkMatMulTrainShapes(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	cases := []struct {
+		name    string
+		m, k, n int
+		mul     func(c, a, b *Tensor) error
+		aShape  Shape
+	}{
+		{"MatMul/32x512x512", 32, 512, 512, MatMul, Shape{32, 512}},
+		{"MatMul/32x512x64", 32, 512, 64, MatMul, Shape{32, 512}},
+		{"MatMulTransA/512x32x512", 512, 32, 512, MatMulTransA, Shape{32, 512}},
+	}
+	for _, tc := range cases {
+		x := randMat(rng, tc.aShape[0], tc.aShape[1])
+		y := randMat(rng, tc.k, tc.n)
+		c := New(Float32, tc.m, tc.n)
+		for _, workers := range []int{1, 2} {
+			name := tc.name + "/serial"
+			if workers > 1 {
+				name = fmt.Sprintf("%s/workers=%d", tc.name, workers)
+			}
+			b.Run(name, func(b *testing.B) {
+				b.SetBytes(2 * int64(tc.m) * int64(tc.k) * int64(tc.n))
+				withWorkers(b, workers, func() {
+					for i := 0; i < b.N; i++ {
+						if err := tc.mul(c, x, y); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			})
+		}
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 
 // MatMul computes c = a @ b for float32 matrices a:[m,k], b:[k,n], c:[m,n].
 // The destination is fully overwritten. Rows of c are computed by a 4-row
-// register-blocked axpy kernel (the inner loop is a contiguous multiply-add
-// over a row of b feeding four output rows).
+// register-blocked axpy kernel: axpy4 multiply-adds a row of b into four
+// output rows (SSE2 assembly on amd64, axpy4Generic elsewhere).
 func MatMul(c, a, b *Tensor) error {
 	if err := checkMat(a, 2); err != nil {
 		return err
@@ -45,6 +45,9 @@ func matMulRows(cv, av, bv []float32, lo, hi, k, n int) {
 	// One memclr for the whole row range: interleaving small zeroing loops
 	// with the blocked kernel measurably degrades the generated inner loop.
 	clear(cv[lo*n : hi*n])
+	if n == 0 {
+		return // nothing to compute, and &c0[0] of an empty row panics
+	}
 	i := lo
 	for ; i+4 <= hi; i += 4 {
 		a0 := av[i*k : (i+1)*k]
@@ -57,16 +60,7 @@ func matMulRows(cv, av, bv []float32, lo, hi, k, n int) {
 		c3 := cv[(i+3)*n : (i+4)*n]
 		for p := 0; p < k; p++ {
 			brow := bv[p*n : (p+1)*n]
-			brow = brow[:n:n]
-			u0, u1, u2, u3 := c0[:n:n], c1[:n:n], c2[:n:n], c3[:n:n]
-			x0, x1, x2, x3 := a0[p], a1[p], a2[p], a3[p]
-			for j := range brow {
-				bj := brow[j]
-				u0[j] += x0 * bj
-				u1[j] += x1 * bj
-				u2[j] += x2 * bj
-				u3[j] += x3 * bj
-			}
+			axpy4(&c0[0], &c1[0], &c2[0], &c3[0], &brow[0], n, a0[p], a1[p], a2[p], a3[p])
 		}
 	}
 	for ; i < hi; i++ {
@@ -131,6 +125,9 @@ func MatMulTransA(c, a, b *Tensor) error {
 // Column i of a feeds row i of c; accumulation per output is p = 0..k-1.
 func matMulTARows(cv, av, bv []float32, lo, hi, k, am, n int) {
 	clear(cv[lo*n : hi*n])
+	if n == 0 {
+		return // as in matMulRows
+	}
 	i := lo
 	for ; i+4 <= hi; i += 4 {
 		c0 := cv[i*n : (i+1)*n]
@@ -140,16 +137,7 @@ func matMulTARows(cv, av, bv []float32, lo, hi, k, am, n int) {
 		for p := 0; p < k; p++ {
 			ap := av[p*am+i : p*am+i+4]
 			brow := bv[p*n : (p+1)*n]
-			brow = brow[:n:n]
-			u0, u1, u2, u3 := c0[:n:n], c1[:n:n], c2[:n:n], c3[:n:n]
-			x0, x1, x2, x3 := ap[0], ap[1], ap[2], ap[3]
-			for j := range brow {
-				bj := brow[j]
-				u0[j] += x0 * bj
-				u1[j] += x1 * bj
-				u2[j] += x2 * bj
-				u3[j] += x3 * bj
-			}
+			axpy4(&c0[0], &c1[0], &c2[0], &c3[0], &brow[0], n, ap[0], ap[1], ap[2], ap[3])
 		}
 	}
 	for ; i < hi; i++ {

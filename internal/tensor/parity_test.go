@@ -52,6 +52,15 @@ func TestMatMulParityAcrossWorkers(t *testing.T) {
 		{70, 67, 31},  // above: row-parallel
 		{128, 96, 64}, // above, even dims
 		{5, 1, 9},     // degenerate inner dim
+		// 4-row blocks and 1-row tails in one call, with n%4 != 0 so the
+		// micro-kernel's vector loop and scalar tail both run.
+		{34, 45, 67}, // serial
+		{33, 512, 7}, // row-parallel
+		// Empty output rows and an empty inner dimension: no panic (the
+		// blocked kernels must not take &row[0] of an empty row), and c
+		// all +0 when k is 0.
+		{8, 5, 0},
+		{8, 0, 5},
 	}
 	for _, s := range shapes {
 		m, k, n := s[0], s[1], s[2]
@@ -69,25 +78,38 @@ func TestMatMulParityAcrossWorkers(t *testing.T) {
 			}
 		}
 		c := New(Float32, m, n)
+		// Every call starts from a NaN-filled c: each kernel must overwrite it.
+		dirty := func() {
+			for i := range c.Float32s() {
+				c.Float32s()[i] = float32(math.NaN())
+			}
+		}
+		// The blocked kernels accumulate each output from +0 in p = 0..k-1
+		// order, exactly as the naive triple loop does.
+		want := naiveMatMul(a, b)
 		forEachWorkerCount(t, "matmul", func() []float32 {
+			dirty()
 			if err := MatMul(c, a, b); err != nil {
 				t.Fatal(err)
 			}
 			return c.Float32s()
 		})
+		bitsEqual(t, "matmul vs naive", c.Float32s(), want.Float32s())
 		forEachWorkerCount(t, "matmulTA", func() []float32 {
+			dirty()
 			if err := MatMulTransA(c, aT, b); err != nil {
 				t.Fatal(err)
 			}
 			return c.Float32s()
 		})
+		bitsEqual(t, "matmulTA vs naive", c.Float32s(), want.Float32s())
 		forEachWorkerCount(t, "matmulTB", func() []float32 {
+			dirty()
 			if err := MatMulTransB(c, a, bT); err != nil {
 				t.Fatal(err)
 			}
 			return c.Float32s()
 		})
-		want := naiveMatMul(a, b)
 		if !c.AllClose(want, 1e-3) {
 			t.Fatalf("matmulTB far from naive reference at %v", s)
 		}

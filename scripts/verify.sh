@@ -33,6 +33,16 @@ echo "== go test -short (cmd/rdmadl-bench) =="
 echo "== go test -race -cpu=1,4 (kernel parallelism) =="
 go test -race -cpu=1,4 ./internal/parallel/ ./internal/tensor/ ./internal/exec/
 
+# On amd64 the 4-row matmul blocks run the axpy4 assembly kernel, whose
+# writes the race detector cannot see. The purego tag selects the Go
+# kernel, so the same parity tests also run with every write instrumented;
+# the arm64 vet keeps that fallback compiling (vet's asmdecl check already
+# covers the amd64 assembly frame).
+echo "== go test -race -cpu=1,4 -tags purego (Go kernel path) =="
+go test -race -cpu=1,4 -tags purego ./internal/tensor/
+echo "== go vet GOARCH=arm64 (non-assembly kernel build) =="
+GOARCH=arm64 go vet ./internal/tensor/
+
 # Crash-recovery and close/poll regression gates, including the edge-rebuild
 # region-leak check. go test -race ./... above already runs these; naming
 # them keeps the acceptance bar explicit even if package filters change.
@@ -120,5 +130,6 @@ go test -run=NONE -fuzz='^FuzzDecodeBatch$' -fuzztime="$FUZZTIME" ./internal/wir
 go test -run=NONE -fuzz='^FuzzHistogramRecord$' -fuzztime="$FUZZTIME" ./internal/metrics/
 go test -run=NONE -fuzz='^FuzzUnmarshalBucketDesc$' -fuzztime="$FUZZTIME" ./internal/comm/
 go test -run=NONE -fuzz='^FuzzUnmarshalShardMap$' -fuzztime="$FUZZTIME" ./internal/comm/
+go test -run=NONE -fuzz='^FuzzAxpy4$' -fuzztime="$FUZZTIME" ./internal/tensor/
 
 echo "verify: OK"
