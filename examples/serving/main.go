@@ -1,8 +1,8 @@
 // Serving: the zero-copy weight-publication plane. A trainer snapshots its
 // variable store every few steps and streams the version into each
-// replica's spare bank with one-sided striped writes — payload first, the
-// 8-byte version word last, so a replica's poll loop can only ever observe
-// a complete version. Replicas swap banks atomically (readers pin the old
+// replica's spare bank with one-sided striped writes — weights and version
+// word first, the tail flag last, so a replica's poll loop can only ever
+// observe a complete version. Replicas swap banks atomically (readers pin the old
 // bank until drained; no torn weights, no copies on the serving path) and
 // a batching frontend with bounded-queue admission control routes queries
 // around replicas that are mid-swap or dead. The staleness invariant —

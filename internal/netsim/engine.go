@@ -1,73 +1,14 @@
 // Package netsim prices the paper's experiments on a virtual cluster: a
-// deterministic discrete-event/timeline simulation of tensor transfers over
-// the four communication mechanisms, combined with the GPU compute-time
+// deterministic resource-timeline simulation of tensor transfers over the
+// four communication mechanisms, combined with the GPU compute-time
 // model. The emulated RDMA fabric executes the real protocols; this package
 // supplies the *time* dimension the paper's 100 Gbps InfiniBand testbed
 // provided, calibrated (params.go) so the relative shapes of Figures 8, 9,
 // 11, 12 and Tables 2, 3 hold.
 package netsim
 
-import "container/heap"
-
 // Time is simulation time in microseconds.
 type Time = float64
-
-// Engine is a minimal discrete-event simulator: schedule closures at
-// absolute times, run until drained. The PS-step model mostly uses resource
-// timelines (Resource), which are sufficient for static workloads; the
-// engine exists for event-driven compositions (e.g. convergence replay).
-type Engine struct {
-	now  Time
-	pq   eventHeap
-	seq  int
-	halt bool
-}
-
-type event struct {
-	at  Time
-	seq int // FIFO tie-break for determinism
-	fn  func()
-}
-
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-
-// NewEngine returns an engine at time zero.
-func NewEngine() *Engine { return &Engine{} }
-
-// Now returns the current simulation time.
-func (e *Engine) Now() Time { return e.now }
-
-// At schedules fn to run after delay (clamped to now for negative delays).
-func (e *Engine) At(delay Time, fn func()) {
-	if delay < 0 {
-		delay = 0
-	}
-	e.seq++
-	heap.Push(&e.pq, event{at: e.now + delay, seq: e.seq, fn: fn})
-}
-
-// Run processes events until none remain (or Halt is called).
-func (e *Engine) Run() {
-	for e.pq.Len() > 0 && !e.halt {
-		ev := heap.Pop(&e.pq).(event)
-		e.now = ev.at
-		ev.fn()
-	}
-}
-
-// Halt stops Run after the current event.
-func (e *Engine) Halt() { e.halt = true }
 
 // Resource is a FIFO-serialized facility (a NIC direction, a QP lane, a
 // copy engine) modeled as a busy-until timeline.

@@ -8,48 +8,6 @@ import (
 	"repro/internal/models"
 )
 
-func TestEngineOrdering(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	e.At(5, func() { order = append(order, 2) })
-	e.At(1, func() { order = append(order, 1) })
-	e.At(5, func() { order = append(order, 3) }) // FIFO tie-break
-	e.At(-1, func() { order = append(order, 0) })
-	e.Run()
-	want := []int{0, 1, 2, 3}
-	for i, w := range want {
-		if order[i] != w {
-			t.Fatalf("order = %v", order)
-		}
-	}
-	if e.Now() != 5 {
-		t.Errorf("Now = %v", e.Now())
-	}
-}
-
-func TestEngineNestedScheduling(t *testing.T) {
-	e := NewEngine()
-	var at Time
-	e.At(10, func() {
-		e.At(7, func() { at = e.Now() })
-	})
-	e.Run()
-	if at != 17 {
-		t.Errorf("nested event at %v, want 17", at)
-	}
-}
-
-func TestEngineHalt(t *testing.T) {
-	e := NewEngine()
-	ran := 0
-	e.At(1, func() { ran++; e.Halt() })
-	e.At(2, func() { ran++ })
-	e.Run()
-	if ran != 1 {
-		t.Errorf("ran %d events after halt", ran)
-	}
-}
-
 func TestResourceSerializes(t *testing.T) {
 	var r Resource
 	s1, e1 := r.Use(0, 10)

@@ -106,7 +106,7 @@ type ServeReport struct {
 	// UtilizationPct is served/capacity.
 	UtilizationPct float64
 	// PublishUS is one full fan-out: the striped payload to every
-	// replica, serialized at the trainer NIC, version word last.
+	// replica, serialized at the trainer NIC, tail flag last.
 	PublishUS float64
 	// PublishIntervalMS is the trainer's snapshot cadence.
 	PublishIntervalMS float64

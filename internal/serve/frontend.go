@@ -108,7 +108,7 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 }
 
 // Start launches one batcher per replica in the table (at least one);
-// idempotent. Pick sends each batch to the replica with the fewest
+// idempotent. pick sends each batch to the replica with the fewest
 // outstanding, so concurrent batches land on different replicas.
 func (f *Frontend) Start() {
 	f.startOnce.Do(func() {
@@ -186,9 +186,9 @@ func (f *Frontend) batchLoop() {
 // activates.
 const pickPoll = 50 * time.Microsecond
 
-// pick selects the batch's replica. Publish returns once the version word
+// pick selects the batch's replica. Publish returns once the bank's flag
 // is written, but a replica only becomes routable when its swap loop next
-// polls that word; a batch dispatched in between waits for it, up to
+// polls that flag; a batch dispatched in between waits for it, up to
 // BatchWait, rather than failing with ErrNoReplica. With no staged replica
 // (nothing published, or every replica dead) it fails at once. "Staged"
 // comes from the same table pass that found nothing to pick, so a swap
@@ -225,7 +225,7 @@ func (f *Frontend) dispatch(batch []*pending) {
 	defer f.cfg.Table.Done(r.Task())
 	ref, ok := r.Acquire()
 	if !ok {
-		// Replica went warming between Pick and Acquire (restart); shed the
+		// Replica went warming between pick and Acquire (restart); shed the
 		// batch rather than spin.
 		if f.cfg.Metrics != nil {
 			f.cfg.Metrics.AddRoutingReject()

@@ -8,14 +8,15 @@
 //
 // The transfer discipline is the paper's §3.2 static placement, applied
 // one-to-many: both ends know every weight tensor's shape ahead of time, so
-// a replica preallocates two weight banks (double buffering) and the
-// publisher writes payload bytes first and an 8-byte version tag last —
-// the same flag-after-payload invariant as the training path's striped
-// sends. A replica swaps to version v+1 only after the version word reads
-// v+1, and the version word is written only after every payload chunk's
-// completion, so a torn weight set is never observable. The publisher may
-// not overwrite a bank until the replica has both swapped away from it and
-// drained its readers (a one-sided release ack), which bounds staleness by
+// a replica preallocates two weight banks (double buffering), each an
+// ordinary static slot whose payload is the weights plus an 8-byte version
+// word, and the publisher sends each version with the training path's
+// striped static send — payload first, tail flag last. A replica reads a
+// bank's version word only while the bank's flag is set, and the flag is
+// written only after every payload stripe's completion, so a torn weight
+// set is never observable. The publisher may not overwrite a bank until
+// the replica has swapped away from it, drained its readers, and cleared
+// its flag (a one-sided release ack follows), which bounds staleness by
 // construction: a serving replica is never more than one version behind
 // the trainer.
 package serve
@@ -25,11 +26,12 @@ import (
 	"sort"
 
 	"repro/internal/exec"
+	"repro/internal/rdma"
 	"repro/internal/tensor"
 )
 
-// versionWordSize is the bank's trailing version tag: an 8-byte word
-// written last, read atomically on both ends.
+// versionWordSize is the version tag after the weights: an 8-byte word
+// inside the slot payload, read atomically on both ends.
 const versionWordSize = 8
 
 // alignUp rounds n up to the fabric's 8-byte word size, so every weight
@@ -89,9 +91,9 @@ func LayoutFor(vs *exec.VarStore, names []string) (*WeightLayout, error) {
 	return l, nil
 }
 
-// BankBytes is the size of one replica weight bank: the payload plus the
-// trailing version word.
-func (l *WeightLayout) BankBytes() int { return l.Payload + versionWordSize }
+// BankBytes is the size of one replica weight bank: a static slot holding
+// the payload and the version word, then the tail flag.
+func (l *WeightLayout) BankBytes() int { return rdma.StaticSlotSize(l.Payload + versionWordSize) }
 
 // VersionOff is the byte offset of the bank's version word.
 func (l *WeightLayout) VersionOff() int { return l.Payload }

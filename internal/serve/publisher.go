@@ -19,11 +19,6 @@ var (
 	ErrBankHeld = errors.New("serve: target bank not released in time")
 )
 
-// defaultChunkBytes splits a bank payload into stripe chunks; one chunk is
-// one work request, chunks round-robin the publisher's QP lanes and each
-// lane's chunks post under one doorbell.
-const defaultChunkBytes = 128 << 10
-
 // ReplicaTarget is everything the publisher needs to reach one replica's
 // weight banks: the fabric endpoint and the two bank regions. It is
 // produced by Replica.Target and crosses the control plane (an RPC during
@@ -42,13 +37,8 @@ type PublisherConfig struct {
 	// Layout is the shared weight layout (LayoutFor over the same set).
 	Layout *WeightLayout
 	// Lanes stripes each bank write across this many QP lanes (default 1,
-	// clamped to the device's QPsPerPeer).
+	// clamped to the device's QPsPerPeer and to rdma.MaxStripes).
 	Lanes int
-	// ChunkBytes is the stripe chunk size (default 128 KiB).
-	ChunkBytes int
-	// PublishTimeout bounds one Publish call end to end: release-ack wait
-	// plus the writes themselves (default 5s).
-	PublishTimeout time.Duration
 	// Metrics / Hists receive publication counters and latency (optional).
 	Metrics *metrics.Serve
 	Hists   *metrics.Set
@@ -56,12 +46,15 @@ type PublisherConfig struct {
 
 // WeightPublisher pushes weight versions to a replica fleet. One Publish
 // call snapshots the variable store once into registered scratch, then
-// writes the blob to every replica's target bank concurrently — payload
-// chunks first, the 8-byte version word last, exactly the training path's
-// flag-after-payload discipline.
+// sends the blob to every replica's target bank concurrently through one
+// striped static sender per bank — payload stripes first, the tail flag
+// last, exactly the training path's flag-after-payload discipline.
 type WeightPublisher struct {
 	cfg     PublisherConfig
-	scratch *rdma.MemRegion // staged snapshot + version word
+	scratch *rdma.MemRegion // staged snapshot + version word + tail flag
+	// publishTimeout bounds one replica's publication end to end:
+	// release-ack wait plus the send and its retries.
+	publishTimeout time.Duration
 
 	mu       sync.Mutex
 	replicas map[string]*replicaState
@@ -72,25 +65,20 @@ type WeightPublisher struct {
 	// — the one staleness is measured against — only advances on success.
 	staged    uint64
 	committed uint64
-
-	// crashBeforeCommit, when set (tests only), runs after a replica's
-	// payload chunks complete but before its version word is written — the
-	// trainer-crash-mid-publication window.
-	crashBeforeCommit func(task string)
 }
 
 // replicaState is the publisher's view of one replica.
 type replicaState struct {
-	target ReplicaTarget
+	task string
+	// banks[b] sends the staged scratch into the replica's bank b.
+	banks [2]*rdma.StaticSender
 	// ack is the local region the replica's release writes land in: word b
 	// holds the highest version released from bank b (0 before the bank's
 	// first release).
 	ack *rdma.MemRegion
-	// published is the last version this replica received (0 = none);
-	// written[b] the version bank b currently holds in this incarnation
+	// written[b] is the version bank b currently holds in this incarnation
 	// (0 = never filled, so the first write into it needs no release).
-	published uint64
-	written   [2]uint64
+	written [2]uint64
 }
 
 // NewWeightPublisher validates the config and registers the staging
@@ -99,23 +87,16 @@ func NewWeightPublisher(cfg PublisherConfig) (*WeightPublisher, error) {
 	if cfg.Dev == nil || cfg.Vars == nil || cfg.Layout == nil {
 		return nil, fmt.Errorf("serve: publisher needs Dev, Vars, Layout: %w", rdma.ErrBadConfig)
 	}
-	if cfg.Lanes < 1 {
-		cfg.Lanes = 1
-	}
-	if cfg.ChunkBytes <= 0 {
-		cfg.ChunkBytes = defaultChunkBytes
-	}
-	if cfg.PublishTimeout <= 0 {
-		cfg.PublishTimeout = 5 * time.Second
-	}
+	cfg.Lanes = min(max(cfg.Lanes, 1), rdma.MaxStripes)
 	scratch, err := cfg.Dev.AllocateMemRegion(cfg.Layout.BankBytes())
 	if err != nil {
 		return nil, fmt.Errorf("serve: publisher scratch: %w", err)
 	}
 	return &WeightPublisher{
-		cfg:      cfg,
-		scratch:  scratch,
-		replicas: make(map[string]*replicaState),
+		cfg:            cfg,
+		scratch:        scratch,
+		publishTimeout: 5 * time.Second,
+		replicas:       make(map[string]*replicaState),
 	}, nil
 }
 
@@ -145,16 +126,22 @@ func (p *WeightPublisher) AckRegion(task string) (rdma.RemoteRegion, error) {
 
 // AddReplica registers (or, after a restart, replaces) a replica target.
 // A replaced target starts from empty banks: both release acks reset to
-// the free sentinel and its published version to 0.
+// the free sentinel and neither bank counts as written.
 func (p *WeightPublisher) AddReplica(t ReplicaTarget) error {
 	if t.Task == "" {
 		return fmt.Errorf("serve: replica target without task: %w", rdma.ErrBadConfig)
 	}
+	var banks [2]*rdma.StaticSender
 	for b, bank := range t.Banks {
 		if int(bank.Size) < p.cfg.Layout.BankBytes() {
 			return fmt.Errorf("serve: replica %s bank %d is %dB, need %dB: %w",
 				t.Task, b, bank.Size, p.cfg.Layout.BankBytes(), rdma.ErrBadConfig)
 		}
+		s, err := p.bankSender(t.Task, bank)
+		if err != nil {
+			return fmt.Errorf("serve: replica %s bank %d sender: %w", t.Task, b, err)
+		}
+		banks[b] = s
 	}
 	ack, err := p.cfg.Dev.AllocateMemRegion(2 * versionWordSize)
 	if err != nil {
@@ -164,15 +151,14 @@ func (p *WeightPublisher) AddReplica(t ReplicaTarget) error {
 	defer p.mu.Unlock()
 	r, ok := p.replicas[t.Task]
 	if !ok {
-		r = &replicaState{ack: ack}
+		r = &replicaState{task: t.Task, ack: ack}
 		p.replicas[t.Task] = r
 	} else {
 		// Restarted incarnation: fresh ack words, fresh banks. The old ack
 		// region is abandoned (the dead incarnation can no longer write it).
 		r.ack = ack
 	}
-	r.target = t
-	r.published = 0
+	r.banks = banks
 	r.written = [2]uint64{}
 	r.ack.StoreWord(0, 0)
 	r.ack.StoreWord(versionWordSize, 0)
@@ -220,7 +206,7 @@ func (p *WeightPublisher) Publish() (uint64, error) {
 	var firstErr error
 	for i, err := range errs {
 		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("serve: publishing v%d to %s: %w", v, targets[i].target.Task, err)
+			firstErr = fmt.Errorf("serve: publishing v%d to %s: %w", v, targets[i].task, err)
 		}
 	}
 	if firstErr == nil {
@@ -280,65 +266,27 @@ func (p *WeightPublisher) replicaListLocked() []*replicaState {
 }
 
 // writeVersion performs one replica's publication of version v: wait for
-// the target bank's release ack, stripe the payload across lanes (one
-// doorbell batch per lane), then write the version word last.
+// the target bank's release ack, then send the staged scratch into the bank
+// striped across the lanes, retrying transient faults until the publish
+// deadline.
 func (p *WeightPublisher) writeVersion(r *replicaState, v uint64) error {
-	deadline := time.Now().Add(p.cfg.PublishTimeout)
+	deadline := time.Now().Add(p.publishTimeout)
 	bank := int(v % 2)
 	if err := p.waitBankFree(r, bank, deadline); err != nil {
 		return err
 	}
-
-	lanes, err := p.lanesFor(r.target.Task)
-	if err != nil {
-		return err
-	}
-
-	// Payload chunks round-robin the lanes; each lane's chunks enter the
-	// send queue under one doorbell. Completions join before the version
-	// word is posted — the flag-after-payload invariant.
-	payload := p.cfg.Layout.Payload
-	reqs := make([][]rdma.MemcpyReq, len(lanes))
-	nchunks := 0
-	done := make(chan error, payload/p.cfg.ChunkBytes+2)
-	for off := 0; off < payload; off += p.cfg.ChunkBytes {
-		n := p.cfg.ChunkBytes
-		if off+n > payload {
-			n = payload - off
-		}
-		lane := nchunks % len(lanes)
-		reqs[lane] = append(reqs[lane], rdma.MemcpyReq{
-			LocalOff: off, Local: p.scratch,
-			RemoteOff: off, Remote: r.target.Banks[bank],
-			Size: n, Dir: rdma.OpWrite,
-			CB: func(err error) { done <- err },
-		})
-		nchunks++
-	}
-	for lane, batch := range reqs {
-		if len(batch) == 0 {
-			continue
-		}
-		if err := lanes[lane].MemcpyBatch(batch); err != nil {
-			return err
-		}
-	}
-	for i := 0; i < nchunks; i++ {
-		if err := <-done; err != nil {
-			return err
-		}
-	}
-
-	// All payload chunks are in remote memory; commit the version word.
-	if p.crashBeforeCommit != nil {
-		p.crashBeforeCommit(r.target.Task)
-	}
-	off := p.cfg.Layout.VersionOff()
-	if err := lanes[0].MemcpySync(off, p.scratch, off, r.target.Banks[bank], versionWordSize, rdma.OpWrite); err != nil {
+	p.mu.Lock()
+	sender := r.banks[bank]
+	p.mu.Unlock()
+	// A zero deadline would select the rdma default; an ack that arrived at
+	// the very end still gets one attempt, not a fresh budget.
+	if err := sender.SendRetry(rdma.TransferOpts{
+		Deadline: max(time.Until(deadline), time.Nanosecond),
+		Stripes:  sender.Lanes(),
+	}); err != nil {
 		return err
 	}
 	p.mu.Lock()
-	r.published = v
 	r.written[bank] = v
 	p.mu.Unlock()
 	return nil
@@ -364,24 +312,37 @@ func (p *WeightPublisher) waitBankFree(r *replicaState, bank int, deadline time.
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("%w: bank %d of %s holds v%d unreleased",
-				ErrBankHeld, bank, r.target.Task, need)
+				ErrBankHeld, bank, r.task, need)
 		}
 		time.Sleep(20 * time.Microsecond)
 	}
 }
 
-// lanesFor resolves the publisher's QP lanes to one replica.
-func (p *WeightPublisher) lanesFor(task string) ([]*rdma.Channel, error) {
-	lanes := make([]*rdma.Channel, 0, p.cfg.Lanes)
-	for i := 0; i < p.cfg.Lanes; i++ {
+// bankSender builds the static sender for one replica bank over the shared
+// staging scratch: QP 0 plus one lane per further QP up to cfg.Lanes,
+// stopping early when the device has fewer QPs per peer.
+func (p *WeightPublisher) bankSender(task string, bank rdma.RemoteRegion) (*rdma.StaticSender, error) {
+	ch, err := p.cfg.Dev.GetChannel(task, 0)
+	if err != nil {
+		return nil, err
+	}
+	s, err := rdma.NewStaticSender(ch, p.scratch, 0, rdma.StaticSlotDesc{
+		Region: bank, PayloadSize: p.cfg.Layout.Payload + versionWordSize,
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i := 1; i < p.cfg.Lanes; i++ {
 		ch, err := p.cfg.Dev.GetChannel(task, i)
+		if errors.Is(err, rdma.ErrBadConfig) {
+			break // device has fewer QPs per peer than requested lanes
+		}
 		if err != nil {
-			if i > 0 && errors.Is(err, rdma.ErrBadConfig) {
-				break // device has fewer QPs per peer than requested lanes
-			}
 			return nil, err
 		}
-		lanes = append(lanes, ch)
+		if err := s.AddLane(ch); err != nil {
+			return nil, err
+		}
 	}
-	return lanes, nil
+	return s, nil
 }

@@ -42,21 +42,26 @@ type ReplicaConfig struct {
 	// publisher-side region they land in (set via SetAckRegion when the
 	// fleet wires up).
 	PublisherTask string
-	// Workers sizes each bank executor's scheduler pool (default 2).
-	Workers int
-	// SwapPoll is the version-word poll interval (default 50µs).
-	SwapPoll time.Duration
 	// Metrics receives swap counters (optional); Hists op latency.
 	Metrics *metrics.Serve
 	Hists   *metrics.Set
 }
 
+// Replica tuning: each bank executor's scheduler pool size, and the
+// interval at which the swap loop polls the banks' flags and drains.
+const (
+	bankWorkers = 2
+	swapPoll    = 50 * time.Microsecond
+)
+
 // bank is one of the replica's two weight buffers: registered memory the
-// publisher writes into, a store whose tensors alias it, and a forward
-// executor reading through that store. readers guards the publisher's
-// overwrite — a bank is released only at refcount zero.
+// publisher writes into, the static receive slot over it (weights plus
+// version word, then the tail flag), a store whose tensors alias it, and a
+// forward executor reading through that store. readers guards the
+// publisher's overwrite — a bank is released only at refcount zero.
 type bank struct {
 	mr      *rdma.MemRegion
+	slot    *rdma.StaticReceiver
 	vars    *exec.VarStore
 	ex      *exec.Executor
 	readers atomic.Int64
@@ -64,9 +69,9 @@ type bank struct {
 
 // Replica owns two weight banks and serves forward passes from whichever
 // holds the newest complete version. The swap loop polls the banks'
-// version words, atomically retargets serving at a committed new version,
-// drains the old bank's readers, and posts the release ack that lets the
-// publisher reuse it.
+// flags, atomically retargets serving at a committed new version, drains
+// the old bank's readers, clears its flag, and posts the release ack that
+// lets the publisher reuse it.
 type Replica struct {
 	cfg ReplicaConfig
 	g   *graph.Graph
@@ -102,12 +107,6 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	if cfg.Dev == nil || cfg.Layout == nil || cfg.Spec.Build == nil {
 		return nil, fmt.Errorf("serve: replica needs Dev, Layout, Spec: %w", rdma.ErrBadConfig)
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 2
-	}
-	if cfg.SwapPoll <= 0 {
-		cfg.SwapPoll = 50 * time.Microsecond
-	}
 	gb := graph.NewBuilder()
 	if err := cfg.Spec.Build(gb); err != nil {
 		return nil, fmt.Errorf("serve: building forward graph: %w", err)
@@ -130,17 +129,21 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 		if err != nil {
 			return nil, fmt.Errorf("serve: bank %d: %w", i, err)
 		}
+		slot, err := rdma.NewStaticReceiver(mr, 0, cfg.Layout.Payload+versionWordSize)
+		if err != nil {
+			return nil, fmt.Errorf("serve: bank %d slot: %w", i, err)
+		}
 		vars, err := cfg.Layout.View(mr.Bytes()[:cfg.Layout.Payload])
 		if err != nil {
 			return nil, err
 		}
 		ex, err := exec.New(g, exec.Config{
-			Workers: cfg.Workers, Vars: vars, Frozen: true, Hists: cfg.Hists,
+			Workers: bankWorkers, Vars: vars, Frozen: true, Hists: cfg.Hists,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("serve: bank %d executor: %w", i, err)
 		}
-		r.banks[i] = &bank{mr: mr, vars: vars, ex: ex}
+		r.banks[i] = &bank{mr: mr, slot: slot, vars: vars, ex: ex}
 	}
 	r.ackScratch, err = cfg.Dev.AllocateMemRegion(versionWordSize)
 	if err != nil {
@@ -188,9 +191,6 @@ func (r *Replica) Swapping() bool { return r.swapping.Load() != 0 }
 // Task returns the replica's endpoint name.
 func (r *Replica) Task() string { return r.cfg.Task }
 
-// Spec returns the forward spec the replica serves.
-func (r *Replica) Spec() ForwardSpec { return r.cfg.Spec }
-
 // BankRef pins one bank at one version for the duration of a batch.
 type BankRef struct {
 	r       *Replica
@@ -236,19 +236,17 @@ func (r *Replica) Infer(ref *BankRef, x *tensor.Tensor) (*tensor.Tensor, error) 
 	return out[r.cfg.Spec.Fetch], nil
 }
 
-// Staged reports whether a bank holds a committed version newer than the
-// active one that the swap loop has not activated yet — the replica is at
-// most one SwapPoll away from serving it.
-func (r *Replica) Staged() bool { return r.committed(r.active.Load()) != 0 }
-
-// committed returns the newest committed version above cur found in either
-// bank's version word, or 0 if there is none.
+// committed returns the newest committed version above cur found in the
+// version word of a bank whose flag is set, or 0 if there is none.
 func (r *Replica) committed(cur uint64) uint64 {
 	var next uint64
 	for b := 0; b < 2; b++ {
+		if !r.banks[b].slot.Poll() {
+			continue // no complete send since the bank was last released
+		}
 		w := r.banks[b].mr.LoadWord(r.cfg.Layout.VersionOff())
-		// A bank only ever holds versions congruent to its index; an
-		// inconsistent word is a partially seen publish — skip it.
+		// A bank only ever holds versions congruent to its index; skip an
+		// inconsistent word.
 		if w > cur && int(w%2) == b && w > next {
 			next = w
 		}
@@ -256,9 +254,9 @@ func (r *Replica) committed(cur uint64) uint64 {
 	return next
 }
 
-// swapLoop is the replica's version watcher: poll both banks' version
-// words, swap to a committed newer version (the word is written only after
-// the payload, so a committed word implies a complete snapshot), drain the
+// swapLoop is the replica's version watcher: poll both banks' flags, swap
+// to a committed newer version (the flag is written only after the payload
+// and version word, so a set flag implies a complete snapshot), drain the
 // bank the previous version lived in, and release it to the publisher.
 func (r *Replica) swapLoop() {
 	defer r.wg.Done()
@@ -274,7 +272,7 @@ func (r *Replica) swapLoop() {
 			select {
 			case <-r.stopCh:
 				return
-			case <-time.After(r.cfg.SwapPoll):
+			case <-time.After(swapPoll):
 			}
 			continue
 		}
@@ -288,8 +286,11 @@ func (r *Replica) swapLoop() {
 	}
 }
 
-// releaseBank waits for the bank that held version v to drain, then posts
-// the one-sided release ack the publisher's next overwrite waits on.
+// releaseBank waits for the bank that held version v to drain, clears its
+// flag, then posts the one-sided release ack the publisher's next
+// overwrite waits on. The flag is cleared before the ack: once acked, the
+// publisher may already be writing the bank, and a stale set flag over
+// that write would expose a torn bank.
 func (r *Replica) releaseBank(v uint64) {
 	r.swapping.Store(1)
 	defer r.swapping.Store(0)
@@ -298,9 +299,10 @@ func (r *Replica) releaseBank(v uint64) {
 		select {
 		case <-r.stopCh:
 			return
-		case <-time.After(r.cfg.SwapPoll):
+		case <-time.After(swapPoll):
 		}
 	}
+	old.slot.Consume()
 	r.ackMu.Lock()
 	dst, ok := r.ackDst, r.hasAck
 	r.ackMu.Unlock()

@@ -6,9 +6,10 @@ import (
 	"repro/internal/metrics"
 )
 
-// RoutingTable load-balances query batches across replicas. Pick prefers
-// the serving replica with the fewest outstanding batches, skips replicas
-// that are dead (heartbeat expiry) or warming (no version yet), and
+// RoutingTable load-balances query batches across replicas. The frontend
+// takes a batch slot with pick and returns it with Done. pick prefers the
+// serving replica with the fewest outstanding batches, skips replicas that
+// are dead (heartbeat expiry) or warming (no version yet), and
 // deprioritizes ones mid-swap — a swapping replica is draining its old
 // bank, so steering new work elsewhere shortens the drain and with it the
 // publisher's wait.
@@ -49,14 +50,6 @@ func (rt *RoutingTable) MarkDead(task string) {
 	rt.publishActiveLocked()
 }
 
-// Remove drops a replica entirely.
-func (rt *RoutingTable) Remove(task string) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	delete(rt.entries, task)
-	rt.publishActiveLocked()
-}
-
 // Alive reports whether the task is present and not marked dead.
 func (rt *RoutingTable) Alive(task string) bool {
 	rt.mu.Lock()
@@ -79,19 +72,14 @@ func (rt *RoutingTable) publishActiveLocked() {
 	rt.met.SetActiveReplicas(n)
 }
 
-// Pick selects a replica for one batch: least outstanding work among live,
+// pick selects a replica for one batch: least outstanding work among live,
 // serving, non-swapping replicas; if every live replica is mid-swap, the
 // least loaded of those (serving from the new bank is still correct during
-// a drain — deprioritizing is a latency choice, not a safety one). Returns
-// nil when no live replica has a version to serve.
-func (rt *RoutingTable) Pick() *Replica {
-	r, _ := rt.pick()
-	return r
-}
-
-// pick is Pick that, when it finds nothing, also reports whether a live
-// replica holds a staged version. Both answers come from one read of each
-// replica's active version: a swap that lands mid-pick leaves the bank's
+// a drain — deprioritizing is a latency choice, not a safety one). It
+// returns nil when no live replica has a version to serve, and then also
+// reports whether a live replica holds a staged version: one its swap loop
+// has not activated yet. Both answers come from one read of each replica's
+// active version: a swap that lands mid-pick leaves the bank's flag and
 // version word set, so the replica it activates still reads as staged and
 // the caller retries rather than failing.
 func (rt *RoutingTable) pick() (r *Replica, staged bool) {
@@ -133,21 +121,7 @@ func (rt *RoutingTable) size() int {
 	return len(rt.entries)
 }
 
-// Staged reports whether some live replica holds a committed version its
-// swap loop has not activated yet, i.e. whether a Pick that found nothing
-// will find a replica within one SwapPoll.
-func (rt *RoutingTable) Staged() bool {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	for _, e := range rt.entries {
-		if !e.dead && e.r.Staged() {
-			return true
-		}
-	}
-	return false
-}
-
-// Done returns a batch slot taken by Pick.
+// Done returns a batch slot taken by pick.
 func (rt *RoutingTable) Done(task string) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -99,7 +100,7 @@ func newFleetFor(t *testing.T, vars *exec.VarStore, spec ForwardSpec, lanes int)
 	met := &metrics.Serve{}
 	pub, err := NewWeightPublisher(PublisherConfig{
 		Dev: tdev, Vars: vars, Layout: layout,
-		Lanes: lanes, ChunkBytes: 64, Metrics: met,
+		Lanes: lanes, Metrics: met,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +179,7 @@ func TestLayoutSnapshotViewRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if layout.BankBytes() != layout.Payload+versionWordSize {
+	if layout.BankBytes() != rdma.StaticSlotSize(layout.Payload+versionWordSize) {
 		t.Fatalf("bank bytes %d, payload %d", layout.BankBytes(), layout.Payload)
 	}
 	buf := make([]byte, layout.BankBytes())
@@ -223,6 +224,33 @@ func TestPublishBitIdentical(t *testing.T) {
 	}
 	if bank.mr.LoadWord(f.layout.VersionOff()) != v {
 		t.Fatalf("bank version word %d, want %d", bank.mr.LoadWord(f.layout.VersionOff()), v)
+	}
+	if !bank.slot.Poll() {
+		t.Fatal("active bank's flag is clear")
+	}
+}
+
+// TestPublishRetriesTransientFault: a payload stripe the fabric drops is
+// re-sent within the publish deadline, and the bank still ends up
+// bit-identical to the staged snapshot.
+func TestPublishRetriesTransientFault(t *testing.T) {
+	f := newFleet(t, 2, 8, 2)
+	r, _ := f.addReplica(t, "replica0")
+	var dropped atomic.Bool
+	f.fabric.SetHooks(rdma.Hooks{TransferFault: func(op rdma.Op, size int) error {
+		if op == rdma.OpWrite && size > rdma.FlagWordSize && dropped.CompareAndSwap(false, true) {
+			return fmt.Errorf("payload stripe dropped: %w", rdma.ErrInjected)
+		}
+		return nil
+	}})
+	v := f.publishNext(t)
+	if !dropped.Load() {
+		t.Fatal("no payload stripe was dropped")
+	}
+	waitVersion(t, r, v)
+	n := f.layout.Payload + versionWordSize
+	if !bytes.Equal(r.banks[v%2].mr.Bytes()[:n], f.pub.scratch.Bytes()[:n]) {
+		t.Fatal("bank differs from the trainer snapshot after a retried publish")
 	}
 }
 
@@ -315,27 +343,38 @@ func TestStalenessBoundUnderLoad(t *testing.T) {
 	}
 }
 
-// TestTrainerCrashMidPublication kills the trainer after the payload
-// chunks land but before the version word commits: the replica must keep
-// serving the last complete version and never swap to the torn bank.
+// TestTrainerCrashMidPublication: the trainer dies after the payload
+// stripes land but before the tail flag does. The bank holds the new
+// weights and version word but no flag, so the replica must keep serving
+// the last complete version and never swap to the torn bank.
 func TestTrainerCrashMidPublication(t *testing.T) {
 	const n = 8
-	f := newFleet(t, 2, n, 1)
+	f := newFleet(t, 2, n, 2) // two lanes: the flag is its own write
 	r, _ := f.addReplica(t, "replica0")
 	waitVersion(t, r, f.publishNext(t))
 
-	f.pub.crashBeforeCommit = func(string) { f.tdev.Close() }
+	var crashed atomic.Bool
+	f.fabric.SetHooks(rdma.Hooks{TransferFault: func(op rdma.Op, size int) error {
+		if op == rdma.OpWrite && size == rdma.FlagWordSize && crashed.CompareAndSwap(false, true) {
+			return errors.New("trainer crashed before the flag write")
+		}
+		return nil
+	}})
 	setVersionWeights(t, f.vars, 2)
 	if _, err := f.pub.Publish(); err == nil {
-		t.Fatal("publish should fail when the trainer dies before commit")
+		t.Fatal("publish should fail when the trainer dies before the flag write")
 	}
 
-	// The torn bank (v2 targets bank 0) holds new payload but no version
-	// word; the replica must not swap.
-	time.Sleep(2 * time.Millisecond)
-	if got := r.banks[0].mr.LoadWord(f.layout.VersionOff()); got != 0 {
-		t.Fatalf("torn bank committed version %d, want none", got)
+	// v2 targets bank 0: its payload landed, its flag did not, and the
+	// replica must not swap.
+	torn := r.banks[0]
+	if torn.slot.Poll() {
+		t.Fatal("torn bank's flag is set")
 	}
+	if got := torn.mr.LoadWord(f.layout.VersionOff()); got != 2 {
+		t.Fatalf("torn bank version word %d, want 2 (the payload landed)", got)
+	}
+	time.Sleep(2 * time.Millisecond)
 	if v := r.ActiveVersion(); v != 1 {
 		t.Fatalf("replica at v%d after trainer crash, want v1", v)
 	}
@@ -513,8 +552,8 @@ func TestDispatchWaitsForStagedReplica(t *testing.T) {
 	}
 
 	v := f.publishNext(t)
-	if r.ActiveVersion() != 0 || !table.Staged() {
-		t.Fatalf("after publish: active v%d, staged %v; want v0 and staged", r.ActiveVersion(), table.Staged())
+	if _, staged := table.pick(); r.ActiveVersion() != 0 || !staged {
+		t.Fatalf("after publish: active v%d, staged %v; want v0 and staged", r.ActiveVersion(), staged)
 	}
 	done := query()
 	// The swap loop is not running, so nothing can serve the query yet: it
@@ -538,7 +577,7 @@ func TestDispatchWaitsForStagedReplica(t *testing.T) {
 	}
 }
 
-// TestRoutingAroundDeadAndSwapping pins Pick's preferences.
+// TestRoutingAroundDeadAndSwapping pins pick's preferences.
 func TestRoutingAroundDeadAndSwapping(t *testing.T) {
 	f := newFleet(t, 2, 8, 1)
 	r0, _ := f.addReplica(t, "replica0")
@@ -548,19 +587,19 @@ func TestRoutingAroundDeadAndSwapping(t *testing.T) {
 	table.Add(r1)
 
 	// Warming replicas are unroutable.
-	if got := table.Pick(); got != nil {
+	if got, _ := table.pick(); got != nil {
 		t.Fatalf("picked warming replica %s", got.Task())
 	}
 	v := f.publishNext(t)
 	waitVersion(t, r0, v)
 	waitVersion(t, r1, v)
 
-	if table.Pick() == nil {
+	if got, _ := table.pick(); got == nil {
 		t.Fatal("no pick with two serving replicas")
 	}
 	table.MarkDead("replica0")
 	for i := 0; i < 8; i++ {
-		r := table.Pick()
+		r, _ := table.pick()
 		if r == nil {
 			t.Fatal("no pick with one live replica")
 		}
@@ -569,7 +608,7 @@ func TestRoutingAroundDeadAndSwapping(t *testing.T) {
 		}
 	}
 	table.MarkDead("replica1")
-	if table.Pick() != nil {
+	if got, _ := table.pick(); got != nil {
 		t.Fatal("picked from a fully dead table")
 	}
 	if f.met.Snapshot().ActiveReplicas != 0 {
@@ -577,7 +616,7 @@ func TestRoutingAroundDeadAndSwapping(t *testing.T) {
 	}
 	// Readmission under the same name routes again.
 	table.Add(r1)
-	if r := table.Pick(); r == nil || r.Task() != "replica1" {
+	if r, _ := table.pick(); r == nil || r.Task() != "replica1" {
 		t.Fatal("readmitted replica not routable")
 	}
 }
@@ -587,7 +626,7 @@ func TestRoutingAroundDeadAndSwapping(t *testing.T) {
 // overwrite live-read memory.
 func TestPublisherBankHeldTimeout(t *testing.T) {
 	f := newFleet(t, 2, 8, 1)
-	f.pub.cfg.PublishTimeout = 50 * time.Millisecond
+	f.pub.publishTimeout = 50 * time.Millisecond
 	r, _ := f.addReplica(t, "replica0")
 	waitVersion(t, r, f.publishNext(t))
 
@@ -612,6 +651,38 @@ func TestPublisherBankHeldTimeout(t *testing.T) {
 		} else if time.Now().After(deadline) {
 			t.Fatalf("publish never recovered after release: %v", err)
 		}
+	}
+}
+
+// TestReleasedBankFlagClearBeforeAck: a released bank's flag is clear by
+// the time its release ack lands at the publisher. Once acked, the
+// publisher may write the bank, and a stale set flag over that write would
+// expose a torn bank.
+func TestReleasedBankFlagClearBeforeAck(t *testing.T) {
+	f := newFleet(t, 2, 8, 1)
+	r, _ := f.addReplica(t, "replica0")
+	f.pub.mu.Lock()
+	ack := f.pub.replicas["replica0"].ack
+	f.pub.mu.Unlock()
+	// OnTransfer runs on the writer's QP goroutine after the write landed
+	// and before it completes, so the first call that sees bank 1's ack
+	// sees the replica as the publisher does on observing it.
+	released := make(chan bool, 1)
+	var once sync.Once
+	f.fabric.SetHooks(rdma.Hooks{OnTransfer: func(rdma.Op, int) {
+		if ack.LoadWord(versionWordSize) >= 1 {
+			once.Do(func() { released <- r.banks[1].slot.Poll() })
+		}
+	}})
+	waitVersion(t, r, f.publishNext(t)) // v1 into bank 1
+	waitVersion(t, r, f.publishNext(t)) // v2 into bank 0; bank 1 is released
+	select {
+	case flagSet := <-released:
+		if flagSet {
+			t.Fatal("bank 1's flag still set when its release ack landed")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("bank 1's release ack never landed")
 	}
 }
 
@@ -736,7 +807,7 @@ func TestParallelDispatchAcrossReplicas(t *testing.T) {
 		}()
 		return done
 	}
-	// Send queries one at a time until Pick parks one on replica0; the
+	// Send queries one at a time until pick parks one on replica0; the
 	// ones it routes to replica1 meanwhile are answered.
 	deadline := time.Now().Add(5 * time.Second)
 	parkedOn0 := func(done chan error) bool {

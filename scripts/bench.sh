@@ -362,7 +362,7 @@ function fleet(r) { return "ServingFleet/replicas=" r }
 function model(ms) { return "ServeModel/interval_ms=" ms }
 END {
     printf "{\n  \"num_cpu\": %d,\n  \"go\": \"%s\",\n", num_cpu, go_ver
-    printf "  \"note\": \"emulated = the real zero-copy publication stack (double-buffered banks, version word last, batching frontend) serving while the trainer publishes every iteration; staleness_versions must be 1 in every cell. model = netsim closed-form pricing of a million-user load across publish cadences: denser publication tightens staleness_ms but costs swap-drain capacity, and once one fan-out outlasts the cadence the one-version bound breaks (staleness_versions > 1).\",\n"
+    printf "  \"note\": \"emulated = the real zero-copy publication stack (double-buffered banks, tail flag last, batching frontend) serving while the trainer publishes every iteration; staleness_versions must be 1 in every cell. model = netsim closed-form pricing of a million-user load across publish cadences: denser publication tightens staleness_ms but costs swap-drain capacity, and once one fan-out outlasts the cadence the one-version bound breaks (staleness_versions > 1).\",\n"
     printf "  \"emulated\": [\n"
     first = 1
     for (r = 1; r <= 4; r *= 2) {

@@ -99,8 +99,10 @@ go test -race -run '^TestQPBusyRetriesDoNotBurnRetryBudget$' ./internal/rdma/
 # than one version behind the trainer, bit-identical to the trainer's
 # snapshot, under continuous publication and concurrent queries. Torn-read
 # — a trainer crash mid-publication leaves every replica on the last
-# complete version (the version word is written after the payload, so a
-# partial bank is never observable). Overload-shed — the frontend's bounded
+# complete version (the tail flag is written after the payload and the
+# version word, and a released bank's flag is cleared before its release
+# ack, so a partial bank is never observable); a transient fault mid-publish
+# is retried. Overload-shed — the frontend's bounded
 # queue sheds typed ErrOverloaded instead of queueing unboundedly. Dispatch
 # — a batch waits for a staged replica instead of failing, and a busy
 # replica does not hold up a batch another replica can take. Plus the
@@ -108,7 +110,7 @@ go test -race -run '^TestQPBusyRetriesDoNotBurnRetryBudget$' ./internal/rdma/
 # regression, the histogram torn-snapshot fixes, the netsim million-user
 # model, and the trainer-flag validation matrix.
 echo "== serving plane gates (-race) =="
-go test -race -run '^TestStalenessBoundUnderLoad$|^TestPublishBitIdentical$|^TestTrainerCrashMidPublication$|^TestOverloadShed$|^TestPublisherBankHeldTimeout$|^TestReplicaRestartReadmission$|^TestDispatchWaitsForStagedReplica$|^TestParallelDispatchAcrossReplicas$' ./internal/serve/
+go test -race -run '^TestStalenessBoundUnderLoad$|^TestPublishBitIdentical$|^TestTrainerCrashMidPublication$|^TestPublishRetriesTransientFault$|^TestReleasedBankFlagClearBeforeAck$|^TestOverloadShed$|^TestPublisherBankHeldTimeout$|^TestReplicaRestartReadmission$|^TestDispatchWaitsForStagedReplica$|^TestParallelDispatchAcrossReplicas$' ./internal/serve/
 go test -race -run '^TestServingFleetCrashRecovery$|^TestServingFleetOverload$' ./internal/distributed/
 go test -race -run '^TestQPMuxSeverRace$' ./internal/rdma/
 go test -race -run '^TestQuantileTornSnapshot$|^TestQuantileEdgeCases$|^TestMergeFamiliesUnion$' ./internal/metrics/
