@@ -173,10 +173,9 @@ func newStagingSlot(dev *rdma.Device, dt tensor.DType, shape tensor.Shape) (*sta
 
 // staticSender is a static edge's send protocol: *rdma.StaticSender, or
 // on a lossy fabric (Config.LossyFabric) the *rdma.LossySender policy
-// over it.
+// over it. A nil payload sends the staging slot as it is (zero-copy).
 type staticSender interface {
-	SendRetry(rdma.TransferOpts) error
-	SendRetryFrom([]byte, rdma.TransferOpts) error
+	SendRetryFromAsync(payload []byte, opts rdma.TransferOpts, fin func(error))
 }
 
 // staticReceiver is the matching receive side: *rdma.StaticReceiver or

@@ -59,7 +59,7 @@ func (op *rdmaSendOp) ComputeAsync(ctx *graph.Context, done func(error)) {
 	}
 	// Zero-copy when the input already lives in the staging slot (the
 	// analyzer arranged the allocation site); otherwise the RDMA.cp path,
-	// pipelined: SendRetryFrom stages the payload lane by lane, so early
+	// pipelined: SendRetryFromAsync stages the payload lane by lane, so early
 	// lanes' writes are in flight while later lanes are still being copied.
 	// The slot's send lock is held until the write completes so sibling
 	// edges sharing the staging cannot clobber bytes mid-flight.
@@ -81,23 +81,16 @@ func (op *rdmaSendOp) ComputeAsync(ctx *graph.Context, done func(error)) {
 		env.Metrics.AddStripedTransfer()
 	}
 	ctx.Output = in
-	// SendRetry blocks through transient fabric faults (bounded by the Env's
-	// transfer opts), so it runs on its own goroutine: the scheduler worker
-	// stays free and a retrying edge cannot stall unrelated operators. The
-	// iteration's cancel flag rides along so the retry dies with the run —
-	// a re-send landing after an abort would clobber the receiver's slot
-	// mid-recovery.
+	// The send posts and returns; done fires from the write's completion,
+	// and transient faults are retried (bounded by the Env's transfer opts)
+	// from a backoff timer, so no goroutine waits on the wire. The cancel
+	// flag rides along so the retry dies with the run — a re-send landing
+	// after an abort would clobber the receiver's slot mid-recovery.
 	opts := env.xferOptsFor(op.spec.Key)
 	opts.Canceled = ctx.Canceled
-	go func() {
-		var err error
-		if payload != nil {
-			err = st.sender.SendRetryFrom(payload, opts)
-		} else {
-			err = st.sender.SendRetry(opts)
-		}
+	st.sender.SendRetryFromAsync(payload, opts, func(err error) {
 		complete(env.edgeErr(op.spec.Key, err))
-	}()
+	})
 }
 
 // --- RdmaRecv (static placement, polling-async) ---
@@ -221,15 +214,14 @@ func (op *rdmaSendDynOp) ComputeAsync(ctx *graph.Context, done func(error)) {
 	ctx.Output = in
 	size := in.ByteSize()
 	dt := uint32(in.DType())
-	// Blocking retried send on its own goroutine (see rdmaSendOp). ErrBusy
-	// from a not-yet-acked previous transfer is also retried: the ack may
-	// just be in flight behind an injected delay.
+	// Retried from its completions like rdmaSendOp's send. ErrBusy from a
+	// not-yet-acked previous transfer is also retried: the ack may just be
+	// in flight behind an injected delay.
 	opts := env.xferOptsFor(op.spec.Key)
 	opts.Canceled = ctx.Canceled
-	go func() {
-		done(env.edgeErr(op.spec.Key,
-			st.sender.SendRetry(payloadMR, payloadOff, size, dt, dims, opts)))
-	}()
+	st.sender.SendRetryAsync(payloadMR, payloadOff, size, dt, dims, opts, func(err error) {
+		done(env.edgeErr(op.spec.Key, err))
+	})
 }
 
 // --- RdmaRecvDyn (dynamic allocation, polling-async) ---
@@ -313,17 +305,16 @@ func (op *rdmaRecvDynOp) ComputeAsync(ctx *graph.Context, done func(error)) {
 	st.mu.Lock()
 	scratch := st.senderScratch
 	st.mu.Unlock()
-	// FetchRetry blocks until the payload read AND the reuse ack completed
-	// (retrying both within the budget); run it off the scheduler worker.
+	// done fires once the payload read AND the reuse ack completed, each
+	// retried within the budget from its own completions and timers.
 	opts := env.xferOptsFor(op.spec.Key)
 	opts.Canceled = ctx.Canceled
-	go func() {
-		err := st.recv.FetchRetry(meta, scratch, env.arenaMR, buf.Off, opts)
+	st.recv.FetchRetryAsync(meta, scratch, env.arenaMR, buf.Off, opts, func(err error) {
 		if err == nil {
 			ctx.Output = out
 		}
 		done(env.edgeErr(op.spec.Key, err))
-	}()
+	})
 }
 
 func wantEdgeInput(name string, in []graph.Sig, n int) error {

@@ -98,14 +98,6 @@ func (c *Cluster) EnableRecovery(cfg RecoveryConfig) (*Recovery, error) {
 // Metrics returns the detector and recovery counters.
 func (r *Recovery) Metrics() metrics.RecoverySnapshot { return r.met.Snapshot() }
 
-// CheckpointIter reports the step the last completed checkpoint was taken
-// at (the step a rollback resumes from).
-func (r *Recovery) CheckpointIter() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.ckptIter
-}
-
 func (r *Recovery) stop() { r.det.stop() }
 
 // Run drives iters training steps with periodic checkpoints and crash

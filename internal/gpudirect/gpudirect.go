@@ -153,35 +153,37 @@ func (r *Receiver) Poll() (rdma.DynMeta, bool) { return r.recv.Poll() }
 
 // Fetch pulls the payload into a fresh device buffer and returns it via
 // the callback. Without GPUDirect the read lands in the host bounce region
-// and is copied into device memory.
+// and is copied into device memory. The read and the reuse ack are retried
+// within the default transfer budget (DynReceiver.FetchRetryAsync).
 func (r *Receiver) Fetch(meta rdma.DynMeta, senderScratch rdma.DynSlotDesc,
 	cb func(*alloc.Buffer, error)) error {
 	buf, err := r.gpu.Alloc(int(meta.PayloadSize))
 	if err != nil {
 		return err
 	}
-	if r.gpu.gpuDirect {
-		return r.recv.Fetch(meta, senderScratch, r.gpu.mr, buf.Off, func(err error) {
-			if r.gpu.metrics != nil && err == nil {
-				r.gpu.metrics.AddRecv(int(meta.PayloadSize))
-			}
-			cb(buf, err)
-		})
+	dst, off := r.gpu.mr, buf.Off
+	if !r.gpu.gpuDirect {
+		if int(meta.PayloadSize) > r.gpu.host.Size() {
+			return fmt.Errorf("%w: payload %d exceeds host bounce buffer %d",
+				ErrGPU, meta.PayloadSize, r.gpu.host.Size())
+		}
+		dst, off = r.gpu.host, 0
 	}
-	if int(meta.PayloadSize) > r.gpu.host.Size() {
-		return fmt.Errorf("%w: payload %d exceeds host bounce buffer %d",
-			ErrGPU, meta.PayloadSize, r.gpu.host.Size())
-	}
-	return r.recv.Fetch(meta, senderScratch, r.gpu.host, 0, func(err error) {
+	r.recv.FetchRetryAsync(meta, senderScratch, dst, off, rdma.TransferOpts{}, func(err error) {
 		if err != nil {
 			cb(nil, err)
 			return
 		}
-		copy(buf.Data, r.gpu.host.Bytes()[:meta.PayloadSize]) // host -> device
+		if !r.gpu.gpuDirect {
+			copy(buf.Data, r.gpu.host.Bytes()[:meta.PayloadSize]) // host -> device
+			if r.gpu.metrics != nil {
+				r.gpu.metrics.AddCopy(int(meta.PayloadSize))
+			}
+		}
 		if r.gpu.metrics != nil {
-			r.gpu.metrics.AddCopy(int(meta.PayloadSize))
 			r.gpu.metrics.AddRecv(int(meta.PayloadSize))
 		}
 		cb(buf, nil)
 	})
+	return nil
 }

@@ -62,7 +62,7 @@ func (r *CoalescedReceiver) Consume() { r.slot.Consume() }
 // AckRetry posts the reuse ack into the sender's ack word, unblocking its
 // next FlushRetry. Call after Consume (and after copying any payloads out).
 func (r *CoalescedReceiver) AckRetry(senderAck DynSlotDesc, opts TransferOpts) error {
-	return r.slot.ackRetry(r.source, r.ch, senderAck, opts)
+	return await(func(fin func(error)) { r.slot.ackRetry(r.source, r.ch, senderAck, opts, fin) })
 }
 
 // CoalescedSender stages sub-messages for one peer's batch slot and flushes
@@ -114,6 +114,6 @@ func (s *CoalescedSender) Count() int { return s.w.Count() }
 // safe.
 func (s *CoalescedSender) FlushRetry(opts TransferOpts) error {
 	staged := s.w.Len()
-	return s.sendRetry(fmt.Sprintf("coalesced flush %dB to %s", staged, s.s.ch.Remote()),
-		staged, nil, opts)
+	label := func() string { return fmt.Sprintf("coalesced flush %dB to %s", staged, s.s.ch.Remote()) }
+	return await(func(fin func(error)) { s.sendRetry(label, staged, nil, opts, fin) })
 }

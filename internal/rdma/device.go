@@ -787,11 +787,11 @@ func (c *Channel) MemcpyBatch(reqs []MemcpyReq) error {
 // without blocking the CQ poller.
 func (c *Channel) MemcpySync(localOff int, local *MemRegion, remoteOff int, remote RemoteRegion,
 	size int, dir Op) error {
-	done := make(chan error, 1)
-	if err := c.Memcpy(localOff, local, remoteOff, remote, size, dir, notifyOnce(done)); err != nil {
-		return err
-	}
-	return <-done
+	return await(func(fin func(error)) {
+		if err := c.Memcpy(localOff, local, remoteOff, remote, size, dir, firstOnly(func() {}, fin)); err != nil {
+			fin(err)
+		}
+	})
 }
 
 // SendMsg posts a two-sided message to the peer (messaging verbs). The

@@ -253,7 +253,9 @@ func TestOnTransferCountsInlineWords(t *testing.T) {
 	}
 	ackMR, _ := b.AllocateMemRegion(FlagWordSize)
 	ack := DynSlotDesc{Region: ackMR.Descriptor()}
-	if err := slot.ackRetry(nil, chanTo(t, a, "hostB:1"), ack, TransferOpts{}); err != nil {
+	if err := await(func(fin func(error)) {
+		slot.ackRetry(nil, chanTo(t, a, "hostB:1"), ack, TransferOpts{}, fin)
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if !ackMR.PollFlag(0) {

@@ -171,14 +171,3 @@ func (f *Fabric) hooksSnapshot() Hooks {
 	defer f.mu.RUnlock()
 	return f.hooks
 }
-
-// Endpoints returns the endpoints currently registered, for diagnostics.
-func (f *Fabric) Endpoints() []string {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	eps := make([]string, 0, len(f.devices))
-	for ep := range f.devices {
-		eps = append(eps, ep)
-	}
-	return eps
-}

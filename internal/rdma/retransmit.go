@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Per-tensor selective retransmit over a lossy fabric.
@@ -77,7 +78,7 @@ type LossySender struct {
 	tensorID uint64
 	scratch  *MemRegion // the NackDesc the receiver writes: missing@8 seq@16 epoch@24
 	lay      lossySlotLayout
-	epoch    uint64 // owned by the sending goroutine (edges send serially)
+	epoch    uint64 // owned by the running attempt (attempts and sends are serial)
 
 	retransmits atomic.Int64 // chunks selectively re-sent
 	nacksSeen   atomic.Int64 // NACKs acted upon
@@ -121,14 +122,18 @@ func (s *LossySender) FullResends() int64 { return s.announces.Load() - s.sends.
 // until the receiver acked complete arrival. Chunk loss is recovered
 // in-protocol; only control-plane failures consume the retry budget, and
 // each such retry announces a fresh epoch.
-func (s *LossySender) SendRetry(opts TransferOpts) error {
-	return s.sendRetryFrom(nil, opts, s)
-}
+func (s *LossySender) SendRetry(opts TransferOpts) error { return s.SendRetryFrom(nil, opts) }
 
 // SendRetryFrom is SendRetry for an unstaged payload, copied into staging
 // lane by lane while the first chunks are already on the wire.
 func (s *LossySender) SendRetryFrom(payload []byte, opts TransferOpts) error {
-	return s.sendRetryFrom(payload, opts, s)
+	return await(func(fin func(error)) { s.SendRetryFromAsync(payload, opts, fin) })
+}
+
+// SendRetryFromAsync is SendRetryFrom without the wait: fin fires exactly
+// once with the outcome; a nil payload sends the staging buffer as it is.
+func (s *LossySender) SendRetryFromAsync(payload []byte, opts TransferOpts, fin func(error)) {
+	s.sendRetryFrom(payload, opts, s, fin)
 }
 
 // lossyRound makes one sendStripedOn call a round of the lossy protocol:
@@ -171,9 +176,10 @@ func (s *LossySender) attempt(lanes []*Channel, payload []byte, o TransferOpts) 
 	e := s.epoch
 	s.announces.Add(1)
 	failed := make(chan error, 1)
+	failOnce := firstOnly(func() {}, func(err error) { failed <- err })
 	fail := func(err error) {
 		if err != nil {
-			notifyOnce(failed)(err)
+			failOnce(err)
 		}
 	}
 	// The descriptor queues ahead of lane 0's chunks; no mark matters to
@@ -189,7 +195,8 @@ func (s *LossySender) attempt(lanes []*Channel, payload []byte, o TransferOpts) 
 	round(payload, all, 0)
 	var lastSeq uint64
 	var err error
-	werr := waitCond(o, fmt.Sprintf("lossy send epoch %d to %s", e, s.ch.Remote()), func() bool {
+	label := func() string { return fmt.Sprintf("lossy send epoch %d to %s", e, s.ch.Remote()) }
+	werr := waitCond(o, label, func() bool {
 		select {
 		case err = <-failed:
 			return true
@@ -388,13 +395,12 @@ func (r *LossyReceiver) flushLocked() {
 		ctlWords(r.senderScratch.Off, d.words()), func(err error) {
 			release()
 			if err != nil {
-				go r.repost(d)
+				time.AfterFunc(DefaultBackoff, func() { r.repost(d) })
 			}
 		})
 }
 
 func (r *LossyReceiver) repost(d NackDesc) {
-	sleep(DefaultBackoff)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.out == d {
@@ -418,5 +424,5 @@ func (r *LossyReceiver) Consume() {
 // Wait blocks until a complete tensor arrived (Poll true) or the opts
 // deadline expires, like StaticReceiver.Wait.
 func (r *LossyReceiver) Wait(opts TransferOpts) error {
-	return waitCond(opts, "lossy recv", r.Poll)
+	return waitCond(opts, func() string { return "lossy recv" }, r.Poll)
 }

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -29,7 +29,7 @@ var ErrCanceled = errors.New("rdma: transfer canceled")
 // heal) versus fatal (misconfiguration, closed device, or out-of-bounds
 // access that no retry can fix). ErrTimeout itself is fatal: it means a
 // retry budget was already spent. ErrQPBusy (mux lease exhaustion) is
-// transient too, but retryLoop handles it on its own backoff curve — slot
+// transient too, but retryAsync handles it on its own backoff curve — slot
 // contention is expected at scale and must not burn the fault budget.
 func Retryable(err error) bool {
 	if err == nil || errors.Is(err, ErrTimeout) {
@@ -86,9 +86,9 @@ type TransferOpts struct {
 	// index, chunks in the flush): a lane's stripe chunks entering the send
 	// queue together instead of one post per chunk.
 	OnDoorbell func(lane, chunks int)
-	// OnComplete, if non-nil, observes each successful blocking transfer
-	// (SendRetry / FetchRetry / FlushRetry) as (payload bytes, wall duration
-	// including retries and backoff). The distributed layer feeds per-edge
+	// OnComplete, if non-nil, observes each successful bounded transfer
+	// (SendRetry / FetchRetry / FlushRetry and their async forms) as (payload
+	// bytes, wall duration including retries and backoff). The distributed layer feeds per-edge
 	// transfer-latency histograms from it.
 	OnComplete func(bytes int, d time.Duration)
 	// OnRetransmit, if non-nil, observes each NACK the lossy protocol serves
@@ -137,26 +137,26 @@ func (o TransferOpts) withDefaults() TransferOpts {
 	return o
 }
 
-// retryLoop runs attempt until it succeeds, fails fatally, is canceled, or
-// the deadline or retry budget is exhausted (typed ErrTimeout wrapping the
-// last error). Cancellation is checked before every attempt — including the
-// first — so an already-aborted caller never posts a write at all.
-func retryLoop(opts TransferOpts, what string, attempt func() error) error {
+// retryAsync runs attempt until it succeeds, fails fatally, is canceled,
+// or the deadline or retry budget is exhausted (typed ErrTimeout wrapping
+// the last error), then calls fin exactly once with the outcome. attempt
+// posts its work and reports through cb; the retry decision runs in that
+// completion (on a CQ poller) and backoff waits ride a timer, so nothing
+// waits on the wire. Cancellation is checked before every attempt —
+// including the first — so an already-aborted caller never posts a write
+// at all. Only an attempt's first completion counts. what labels errors.
+func retryAsync(opts TransferOpts, what func() string, attempt func(cb func(error)), fin func(error)) {
 	o := opts.withDefaults()
 	deadline := time.Now().Add(o.Deadline)
-	backoff := o.Backoff
-	busyBackoff := o.Backoff
-	for tries := 0; ; {
-		if o.Canceled != nil && o.Canceled() {
-			return fmt.Errorf("rdma: %s: %w after %d attempts", what, ErrCanceled, tries)
+	backoff, busyBackoff := o.Backoff, o.Backoff
+	tries := 0
+	var next func()
+	settle := func(err error) {
+		if err == nil || !Retryable(err) {
+			fin(err)
+			return
 		}
-		err := attempt()
-		if err == nil {
-			return nil
-		}
-		if !Retryable(err) {
-			return err
-		}
+		wait := &backoff
 		if errors.Is(err, ErrQPBusy) {
 			// Mux-slot contention: every QP slot is pinned by another live
 			// attempt. That is scheduling pressure, not a fabric fault, so
@@ -164,52 +164,77 @@ func retryLoop(opts TransferOpts, what string, attempt func() error) error {
 			// alone — at 64 tasks a stretch of busy slots must not eat the
 			// MaxRetries budget a real drop needs later.
 			if !time.Now().Add(busyBackoff).Before(deadline) {
-				return fmt.Errorf("rdma: %s: qp slots busy past deadline: %w (last: %w)",
-					what, ErrTimeout, err)
+				fin(fmt.Errorf("rdma: %s: qp slots busy past deadline: %w (last: %w)",
+					what(), ErrTimeout, err))
+				return
 			}
-			if o.OnRetry != nil {
-				o.OnRetry(err)
-			}
-			sleep(busyBackoff)
-			busyBackoff *= 2
-			if busyBackoff > o.MaxBackoff {
-				busyBackoff = o.MaxBackoff
-			}
-			continue
-		}
-		if tries >= o.MaxRetries || !time.Now().Add(backoff).Before(deadline) {
-			return fmt.Errorf("rdma: %s: gave up after %d attempts: %w (last: %w)",
-				what, tries+1, ErrTimeout, err)
-		}
-		tries++
-		if o.Canceled != nil && o.Canceled() {
-			return fmt.Errorf("rdma: %s: %w after %d attempts (last: %w)",
-				what, ErrCanceled, tries, err)
+			wait = &busyBackoff
+		} else if tries >= o.MaxRetries || !time.Now().Add(backoff).Before(deadline) {
+			fin(fmt.Errorf("rdma: %s: gave up after %d attempts: %w (last: %w)",
+				what(), tries+1, ErrTimeout, err))
+			return
+		} else if tries++; o.Canceled != nil && o.Canceled() {
+			fin(fmt.Errorf("rdma: %s: %w after %d attempts (last: %w)", what(), ErrCanceled, tries, err))
+			return
 		}
 		if o.OnRetry != nil {
 			o.OnRetry(err)
 		}
-		sleep(backoff)
-		backoff *= 2
-		if backoff > o.MaxBackoff {
-			backoff = o.MaxBackoff
+		d := *wait
+		*wait = min(2*d, o.MaxBackoff)
+		time.AfterFunc(d, next)
+	}
+	next = func() {
+		if o.Canceled != nil && o.Canceled() {
+			fin(fmt.Errorf("rdma: %s: %w after %d attempts", what(), ErrCanceled, tries))
+			return
+		}
+		attempt(firstOnly(func() {}, settle))
+	}
+	next()
+}
+
+// firstOnly returns a completion callback passing only the first completion
+// on, after release: a duplicated completion must neither release a lane
+// lease twice nor settle an attempt twice.
+func firstOnly(release func(), cb func(error)) func(error) {
+	var fired atomic.Bool
+	return func(err error) {
+		if fired.CompareAndSwap(false, true) {
+			release()
+			cb(err)
 		}
 	}
+}
+
+// await runs an async operation and blocks until its fin fired: every
+// blocking transfer form is this wait on its async form.
+func await(op func(fin func(error))) error {
+	done := make(chan error, 1)
+	op(func(err error) { done <- err })
+	return <-done
+}
+
+// retryLoop is retryAsync for a blocking attempt.
+func retryLoop(opts TransferOpts, what func() string, attempt func() error) error {
+	return await(func(fin func(error)) {
+		retryAsync(opts, what, func(cb func(error)) { cb(attempt()) }, fin)
+	})
 }
 
 // waitCond polls cond until it reports true, the caller cancels, or the
 // deadline expires. It spins briefly, then backs off to PollInterval sleeps
 // so a long wait does not burn a core.
-func waitCond(opts TransferOpts, what string, cond func() bool) error {
+func waitCond(opts TransferOpts, what func() string, cond func() bool) error {
 	o := opts.withDefaults()
 	deadline := time.Now().Add(o.Deadline)
 	for spins := 0; !cond(); spins++ {
 		if spins > 256 {
 			if o.Canceled != nil && o.Canceled() {
-				return fmt.Errorf("rdma: %s: %w", what, ErrCanceled)
+				return fmt.Errorf("rdma: %s: %w", what(), ErrCanceled)
 			}
 			if time.Now().After(deadline) {
-				return fmt.Errorf("rdma: %s: no progress after %v: %w", what, o.Deadline, ErrTimeout)
+				return fmt.Errorf("rdma: %s: no progress after %v: %w", what(), o.Deadline, ErrTimeout)
 			}
 			sleep(o.PollInterval)
 		} else {
@@ -219,26 +244,14 @@ func waitCond(opts TransferOpts, what string, cond func() bool) error {
 	return nil
 }
 
-// notifyOnce returns a completion callback handing the first completion to
-// done (capacity 1); duplicates are dropped without blocking the poller.
-func notifyOnce(done chan error) func(error) {
-	return func(err error) {
-		select {
-		case done <- err:
-		default:
-		}
-	}
-}
-
 // MemcpyRetry is a blocking Memcpy with bounded retry: transient failures
 // (drops, transient unreachability) are retried with exponential backoff
 // until the opts deadline. Safe only for idempotent transfers — both the
 // protocols in this package re-send identical bytes.
 func (c *Channel) MemcpyRetry(localOff int, local *MemRegion, remoteOff int, remote RemoteRegion,
 	size int, dir Op, opts TransferOpts) error {
-	return retryLoop(opts, fmt.Sprintf("%s %dB to %s", dir, size, c.remote), func() error {
-		return c.MemcpySync(localOff, local, remoteOff, remote, size, dir)
-	})
+	return retryLoop(opts, func() string { return fmt.Sprintf("%s %dB to %s", dir, size, c.remote) },
+		func() error { return c.MemcpySync(localOff, local, remoteOff, remote, size, dir) })
 }
 
 // CallRetry is Call with bounded retry: RPC timeouts and transient send
@@ -252,11 +265,12 @@ func (c *Channel) CallRetry(method string, req []byte, opts TransferOpts) ([]byt
 		perCall = o.Deadline
 	}
 	var resp []byte
-	err := retryLoop(o, fmt.Sprintf("rpc %q to %s", method, c.remote), func() error {
-		var err error
-		resp, err = c.Call(method, req, perCall)
-		return err
-	})
+	err := retryLoop(o, func() string { return fmt.Sprintf("rpc %q to %s", method, c.remote) },
+		func() error {
+			var err error
+			resp, err = c.Call(method, req, perCall)
+			return err
+		})
 	return resp, err
 }
 
@@ -269,9 +283,7 @@ func (c *Channel) CallRetry(method string, req []byte, opts TransferOpts) ([]byt
 // the flag visible (single-lane faults strike before memory writes; a
 // striped attempt only writes the flag after every stripe completed), and a
 // re-send writes the same bytes.
-func (s *StaticSender) SendRetry(opts TransferOpts) error {
-	return s.sendRetryFrom(nil, opts, nil)
-}
+func (s *StaticSender) SendRetry(opts TransferOpts) error { return s.SendRetryFrom(nil, opts) }
 
 // SendRetryFrom is SendRetry for a payload that lives outside registered
 // memory: instead of staging all the bytes up front (SendFrom) and only then
@@ -283,16 +295,24 @@ func (s *StaticSender) SendRetry(opts TransferOpts) error {
 // completed, so no attempt's copy can overlap its own in-flight writes, and
 // a failed attempt never made the flag visible.
 func (s *StaticSender) SendRetryFrom(payload []byte, opts TransferOpts) error {
-	return s.sendRetryFrom(payload, opts, nil)
+	return await(func(fin func(error)) { s.SendRetryFromAsync(payload, opts, fin) })
+}
+
+// SendRetryFromAsync is SendRetryFrom without the wait: fin fires exactly
+// once, from a completion or backoff timer, with the outcome. A nil payload
+// sends the staging buffer as it is (SendRetry, the zero-copy path).
+func (s *StaticSender) SendRetryFromAsync(payload []byte, opts TransferOpts, fin func(error)) {
+	s.sendRetryFrom(payload, opts, nil, fin)
 }
 
 // sendRetryFrom is the attempt/lease/retry wrapper of every static send;
 // with ls set, each attempt is one epoch of the lossy protocol instead of a
 // flagged striped write.
-func (s *StaticSender) sendRetryFrom(payload []byte, opts TransferOpts, ls *LossySender) error {
+func (s *StaticSender) sendRetryFrom(payload []byte, opts TransferOpts, ls *LossySender, fin func(error)) {
 	if payload != nil && len(payload) != s.desc.PayloadSize {
-		return fmt.Errorf("rdma: payload %d bytes, slot holds %d: %w",
-			len(payload), s.desc.PayloadSize, ErrBounds)
+		fin(fmt.Errorf("rdma: payload %d bytes, slot holds %d: %w",
+			len(payload), s.desc.PayloadSize, ErrBounds))
+		return
 	}
 	o := opts.withDefaults()
 	start := time.Now()
@@ -301,28 +321,32 @@ func (s *StaticSender) sendRetryFrom(payload []byte, opts TransferOpts, ls *Loss
 		what = "lossy send"
 		ls.sends.Add(1)
 	}
-	err := retryLoop(o, fmt.Sprintf("%s %dB to %s", what, s.desc.PayloadSize, s.ch.Remote()),
-		func() error {
-			// Lanes are acquired per attempt: with a LaneSource (mux mode)
-			// the slot is pinned only while this attempt's writes are in
-			// flight and released once its completions drained, so an idle
-			// or backing-off edge holds no QP slot.
-			lanes, release, err := s.acquireLanes()
-			if err != nil {
-				return err
-			}
-			defer release()
-			if ls != nil {
-				return ls.attempt(lanes, payload, o)
-			}
-			done := make(chan error, 1)
-			if err := s.sendStripedOn(lanes, payload, o.Stripes, o.OnStripe, o.OnDoorbell, nil,
-				notifyOnce(done)); err != nil {
-				return err
-			}
-			return <-done
-		})
-	return observeComplete(o, s.desc.PayloadSize, start, err)
+	label := func() string { return fmt.Sprintf("%s %dB to %s", what, s.desc.PayloadSize, s.ch.Remote()) }
+	retryAsync(o, label, func(cb func(error)) {
+		// Lanes are acquired per attempt: with a LaneSource (mux mode) the
+		// slot is pinned only while this attempt's writes are in flight and
+		// released once its completions drained, so an idle or backing-off
+		// edge holds no QP slot.
+		lanes, release, err := s.acquireLanes()
+		if err != nil {
+			cb(err)
+			return
+		}
+		if ls != nil {
+			// A lossy epoch serves NACKs until its completion ack, so it
+			// alone runs on a goroutine of its own.
+			go func() {
+				err := ls.attempt(lanes, payload, o)
+				release()
+				cb(err)
+			}()
+			return
+		}
+		done := firstOnly(release, cb)
+		if err := s.sendStripedOn(lanes, payload, o.Stripes, o.OnStripe, o.OnDoorbell, nil, done); err != nil {
+			done(err)
+		}
+	}, func(err error) { fin(observeComplete(o, s.desc.PayloadSize, start, err)) })
 }
 
 // Wait blocks until a complete tensor has arrived (Poll returns true) or
@@ -330,52 +354,53 @@ func (s *StaticSender) sendRetryFrom(payload []byte, opts TransferOpts, ls *Loss
 // from a partitioned one, so the failure is a typed ErrTimeout; callers
 // with fabric knowledge may refine it.
 func (r *StaticReceiver) Wait(opts TransferOpts) error {
-	return waitCond(opts, "static recv flag", r.Poll)
+	return waitCond(opts, func() string { return "static recv flag" }, r.Poll)
 }
 
 // --- Ack-gated slot ---
 
-// sendRetry is the gate's send blocking until the write completed,
-// retrying ErrBusy (ack still in flight) and transient fabric faults within
-// the opts budget, over one lane per attempt (leased when a LaneSource is
-// set). A failed write never touched the receiver (faults strike before
-// memory writes), so no ack will ever arrive for it: the attempt re-arms the
-// ack word the gate cleared, or every later attempt would see ErrBusy.
-func (a *ackSlot) sendRetry(what string, bytes int, stage []byte, opts TransferOpts) error {
+// sendRetry is the gate's send retrying ErrBusy (ack still in flight) and
+// transient fabric faults within the opts budget, over one lane per attempt
+// (leased when a LaneSource is set); fin fires once the write completed or
+// failed for good. A failed write never touched the receiver (faults strike
+// before memory writes), so no ack will ever arrive for it: the attempt
+// re-arms the ack word the gate cleared, or every later attempt would see
+// ErrBusy.
+func (a *ackSlot) sendRetry(what func() string, bytes int, stage []byte, opts TransferOpts, fin func(error)) {
 	start := time.Now()
-	err := retryLoop(opts, what, func() error {
+	retryAsync(opts, what, func(cb func(error)) {
 		ch, release, err := laneFor(a.s.source, a.s.ch.Remote(), a.s.ch)
 		if err != nil {
-			return err
+			cb(err)
+			return
 		}
-		defer release()
-		done := make(chan error, 1)
-		if err := a.send(ch, stage, notifyOnce(done)); err != nil {
-			return err
+		err = a.send(ch, stage, firstOnly(release, func(err error) {
+			if err != nil {
+				a.s.mr.SetFlagLocal(a.ackOff())
+			}
+			cb(err)
+		}))
+		if err != nil { // nothing posted
+			release()
+			cb(err)
 		}
-		if err := <-done; err != nil {
-			a.s.mr.SetFlagLocal(a.ackOff())
-			return err
-		}
-		return nil
-	})
-	return observeComplete(opts, bytes, start, err)
+	}, func(err error) { fin(observeComplete(opts, bytes, start, err)) })
 }
 
-// ackRetry is postAck blocking until the ack landed, retrying transient
-// faults within the opts budget; with src set each attempt leases its lane.
-// The ack is a constant one-word write, so re-posting it is idempotent.
-func (r *StaticReceiver) ackRetry(src LaneSource, ch *Channel, ack DynSlotDesc, opts TransferOpts) error {
-	return retryLoop(opts, "reuse ack", func() error {
+// ackRetry posts the reuse ack, retrying transient faults within the opts
+// budget, and fires fin once it landed or failed for good; with src set
+// each attempt leases its lane. The ack is a constant one-word write, so
+// re-posting it is idempotent.
+func (r *StaticReceiver) ackRetry(src LaneSource, ch *Channel, ack DynSlotDesc, opts TransferOpts,
+	fin func(error)) {
+	retryAsync(opts, func() string { return "reuse ack" }, func(cb func(error)) {
 		lane, release, err := laneFor(src, ch.Remote(), ch)
 		if err != nil {
-			return err
+			cb(err)
+			return
 		}
-		defer release()
-		done := make(chan error, 1)
-		r.postAck(lane, ack, notifyOnce(done))
-		return <-done
-	})
+		r.postAck(lane, ack, firstOnly(release, cb))
+	}, fin)
 }
 
 // --- Dynamic allocation ---
@@ -385,19 +410,29 @@ func (r *StaticReceiver) ackRetry(src LaneSource, ch *Channel, ack DynSlotDesc, 
 // and transient transfer failures as retryable within the opts budget.
 func (s *DynSender) SendRetry(payloadMR *MemRegion, payloadOff, payloadSize int,
 	dtype uint32, dims []uint64, opts TransferOpts) error {
-	var img [dynMetaFlagOff]byte
-	if err := encodeDynMeta(img[:], payloadMR, payloadOff, payloadSize, dtype, dims); err != nil {
-		return err
+	return await(func(fin func(error)) {
+		s.SendRetryAsync(payloadMR, payloadOff, payloadSize, dtype, dims, opts, fin)
+	})
+}
+
+// SendRetryAsync is SendRetry without the wait: fin fires exactly once,
+// from a completion or backoff timer, with the outcome.
+func (s *DynSender) SendRetryAsync(payloadMR *MemRegion, payloadOff, payloadSize int,
+	dtype uint32, dims []uint64, opts TransferOpts, fin func(error)) {
+	img := make([]byte, dynMetaFlagOff)
+	if err := encodeDynMeta(img, payloadMR, payloadOff, payloadSize, dtype, dims); err != nil {
+		fin(err)
+		return
 	}
-	return s.sendRetry(fmt.Sprintf("dyn send %dB to %s", payloadSize, s.s.ch.Remote()),
-		payloadSize, img[:], opts)
+	s.sendRetry(func() string { return fmt.Sprintf("dyn send %dB to %s", payloadSize, s.s.ch.Remote()) },
+		payloadSize, img, opts, fin)
 }
 
 // WaitMeta blocks until the metadata flag is set and returns the decoded
 // metadata, or fails with a typed ErrTimeout at the opts deadline.
 func (r *DynReceiver) WaitMeta(opts TransferOpts) (DynMeta, error) {
 	var meta DynMeta
-	err := waitCond(opts, "dyn metadata flag", func() bool {
+	err := waitCond(opts, func() string { return "dyn metadata flag" }, func() bool {
 		m, ok := r.Poll()
 		if ok {
 			meta = m
@@ -407,68 +442,74 @@ func (r *DynReceiver) WaitMeta(opts TransferOpts) (DynMeta, error) {
 	return meta, err
 }
 
-// FetchRetry is Fetch with bounded retry: the payload read and the reuse
-// ack are each retried within the opts budget, and the call blocks until
-// the ack landed.
-// With opts.Stripes > 1 and registered lanes, the payload read is split
-// into chunks pulled concurrently over distinct channels; the ack — the
-// dyn protocol's analogue of the tail flag — is only posted after every
-// stripe's read completed, so the sender can never observe "reusable"
-// while part of the payload is still in flight.
-// All pieces are idempotent: re-reading pulls the same payload (the sender
-// cannot reuse the source buffer before the ack), and the ack is a
-// constant one-word write.
+// FetchRetry is FetchRetryAsync blocking until the reuse ack landed.
 func (r *DynReceiver) FetchRetry(meta DynMeta, senderScratch DynSlotDesc,
 	dst *MemRegion, dstOff int, opts TransferOpts) error {
+	return await(func(fin func(error)) { r.FetchRetryAsync(meta, senderScratch, dst, dstOff, opts, fin) })
+}
+
+// FetchRetryAsync clears the metadata flag, pulls the payload into
+// dst[dstOff:dstOff+meta.PayloadSize) with one-sided reads, and then posts
+// the reuse ack into the sender's scratch block; fin fires exactly once,
+// from a completion or backoff timer, after the ack landed or with the
+// first fatal error. The read and the ack are each retried within the opts
+// budget. With opts.Stripes > 1 and registered lanes, the payload read is
+// split into chunks pulled concurrently over distinct channels, all in one
+// join: a failed chunk retries the read group as a whole, and the ack — the
+// dyn protocol's analogue of the tail flag — is only posted after every
+// stripe's read completed, so the sender can never observe "reusable"
+// while part of the payload is still in flight. All pieces are idempotent:
+// re-reading pulls the same payload (the sender cannot reuse the source
+// buffer before the ack), and the ack is a constant one-word write.
+func (r *DynReceiver) FetchRetryAsync(meta DynMeta, senderScratch DynSlotDesc,
+	dst *MemRegion, dstOff int, opts TransferOpts, fin func(error)) {
 	o := opts.withDefaults()
 	start := time.Now()
 	r.slot.Consume()
 	size := int(meta.PayloadSize)
-	// With a LaneSource the lease spans the whole fetch (reads + ack): the
-	// per-chunk MemcpyRetry loops below already recover chunk-granular, and
-	// re-leasing between chunks of one tensor would only churn the pool.
-	lanes := r.lanes
-	release := func() {}
+	// With a LaneSource the lease spans the whole fetch (reads + ack):
+	// re-leasing between attempts of one tensor would only churn the pool.
+	lanes, release := r.lanes, func() {}
 	if r.source != nil {
 		var err error
-		lanes, release, err = r.source.AcquireLanes(r.sender)
-		if err != nil {
-			return fmt.Errorf("rdma: dyn fetch lanes: %w", err)
+		if lanes, release, err = r.source.AcquireLanes(r.sender); err != nil {
+			fin(fmt.Errorf("rdma: dyn fetch lanes: %w", err))
+			return
 		}
 	}
-	defer release()
-	chunks := StripeDesc{PayloadSize: meta.PayloadSize, Stripes: uint32(o.Stripes)}.Chunks()
+	chunks, kind := StripeDesc{PayloadSize: meta.PayloadSize, Stripes: uint32(o.Stripes)}.Chunks(), "striped read"
 	if len(chunks) <= 1 || len(lanes) <= 1 {
-		if o.OnStripe != nil && size > 0 {
-			o.OnStripe(0, size)
+		chunks, kind = []StripeChunk{{Size: size}}, "read"
+	}
+	for i, chk := range chunks {
+		if o.OnStripe != nil && chk.Size > 0 {
+			o.OnStripe(i%len(lanes), chk.Size)
 		}
-		if err := lanes[0].MemcpyRetry(dstOff, dst, int(meta.SrcOff), meta.Src, size, OpRead, o); err != nil {
-			return fmt.Errorf("rdma: dyn fetch read: %w", err)
-		}
-	} else {
-		var wg sync.WaitGroup
-		errs := make([]error, len(chunks))
+	}
+	done := func(err error) {
+		release()
+		fin(err)
+	}
+	label := func() string { return fmt.Sprintf("%s %dB to %s", OpRead, size, r.sender) }
+	retryAsync(o, label, func(cb func(error)) {
+		join := newStripeJoin(len(chunks), cb)
 		for i, chk := range chunks {
-			lane := i % len(lanes)
-			if o.OnStripe != nil {
-				o.OnStripe(lane, chk.Size)
+			ccb := join.chunkCB(i)
+			if err := lanes[i%len(lanes)].Memcpy(dstOff+chk.Off, dst, int(meta.SrcOff)+chk.Off,
+				meta.Src, chk.Size, OpRead, ccb); err != nil {
+				ccb(err)
 			}
-			wg.Add(1)
-			go func(i int, chk StripeChunk, ch *Channel) {
-				defer wg.Done()
-				errs[i] = ch.MemcpyRetry(dstOff+chk.Off, dst, int(meta.SrcOff)+chk.Off,
-					meta.Src, chk.Size, OpRead, o)
-			}(i, chk, lanes[lane])
 		}
-		wg.Wait()
-		for _, err := range errs {
+	}, func(err error) {
+		if err != nil {
+			done(fmt.Errorf("rdma: dyn fetch %s: %w", kind, err))
+			return
+		}
+		r.slot.ackRetry(nil, lanes[0], dynAck(senderScratch), o, func(err error) {
 			if err != nil {
-				return fmt.Errorf("rdma: dyn fetch striped read: %w", err)
+				err = fmt.Errorf("rdma: dyn fetch ack: %w", err)
 			}
-		}
-	}
-	if err := r.slot.ackRetry(nil, lanes[0], dynAck(senderScratch), o); err != nil {
-		return fmt.Errorf("rdma: dyn fetch ack: %w", err)
-	}
-	return observeComplete(o, size, start, nil)
+			done(observeComplete(o, size, start, err))
+		})
+	})
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 )
 
@@ -112,8 +111,7 @@ func EffectiveStripes(payloadSize, stripes int) int {
 type stripeJoin struct {
 	pending atomic.Int32
 	seen    []atomic.Bool // per-chunk completion dedup
-	mu      sync.Mutex
-	err     error
+	err     atomic.Pointer[error]
 	done    func(error)
 }
 
@@ -130,17 +128,14 @@ func (j *stripeJoin) chunkCB(i int) func(error) {
 			return // duplicated completion
 		}
 		if err != nil {
-			j.mu.Lock()
-			if j.err == nil {
-				j.err = err
-			}
-			j.mu.Unlock()
+			j.err.CompareAndSwap(nil, &err)
 		}
 		if j.pending.Add(-1) == 0 {
-			j.mu.Lock()
-			e := j.err
-			j.mu.Unlock()
-			j.done(e)
+			var first error
+			if p := j.err.Load(); p != nil {
+				first = *p
+			}
+			j.done(first)
 		}
 	}
 }

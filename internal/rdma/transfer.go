@@ -203,7 +203,7 @@ func (s *StaticSender) SendFrom(payload []byte, cb func(error)) error {
 type ackSlot struct {
 	s *StaticSender
 	// started is atomic: the scheduler polls PollReusable from its worker
-	// goroutine while a send runs on the edge's transfer goroutine.
+	// goroutine while a retried send re-arms the slot from a timer.
 	started atomic.Bool
 }
 
@@ -326,9 +326,8 @@ func UnmarshalDynSlotDesc(buf []byte) (DynSlotDesc, error) {
 // static slot whose payload is the metadata image (dynMetaFlagOff bytes).
 type DynReceiver struct {
 	slot   *StaticReceiver
-	sender string // the edge's fixed sender endpoint
-	ch     *Channel
-	lanes  []*Channel // channels for striped fetches; lanes[0] == ch
+	sender string     // the edge's fixed sender endpoint
+	lanes  []*Channel // channels to the sender; more than one stripes fetches
 	// source, when set, supplies FetchRetry's lanes per call (QP mux mode).
 	source LaneSource
 }
@@ -344,7 +343,7 @@ func NewDynReceiver(ch *Channel, mr *MemRegion, off int) (*DynReceiver, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DynReceiver{slot: slot, sender: ch.Remote(), ch: ch, lanes: []*Channel{ch}}, nil
+	return &DynReceiver{slot: slot, sender: ch.Remote(), lanes: []*Channel{ch}}, nil
 }
 
 // Desc returns the metadata slot's address for distribution to the sender.
@@ -358,7 +357,7 @@ func (r *DynReceiver) Desc() DynSlotDesc {
 func (r *DynReceiver) Close() {}
 
 // Poll checks the metadata flag; when set it decodes and returns the
-// metadata (leaving the flag set until Fetch clears it).
+// metadata (leaving the flag set until FetchRetry clears it).
 func (r *DynReceiver) Poll() (DynMeta, bool) {
 	if !r.slot.Poll() {
 		return DynMeta{}, false
@@ -398,22 +397,6 @@ func DecodeDynMeta(b []byte, sender string) (DynMeta, error) {
 		Size:     binary.LittleEndian.Uint64(b[80:]),
 	}
 	return m, nil
-}
-
-// Fetch clears the metadata flag, pulls the payload into
-// dst[dstOff:dstOff+meta.PayloadSize) with a one-sided read, and then posts
-// the reuse ack into the sender's scratch block. cb fires once the ack
-// landed, or with the read's error.
-func (r *DynReceiver) Fetch(meta DynMeta, senderScratch DynSlotDesc, dst *MemRegion, dstOff int, cb func(error)) error {
-	r.slot.Consume()
-	size := int(meta.PayloadSize)
-	return r.ch.Memcpy(dstOff, dst, int(meta.SrcOff), meta.Src, size, OpRead, func(err error) {
-		if err != nil {
-			cb(err)
-			return
-		}
-		r.slot.postAck(r.ch, dynAck(senderScratch), cb)
-	})
 }
 
 // dynAck addresses the ack word of a sender's scratch block.

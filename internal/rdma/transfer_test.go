@@ -233,9 +233,7 @@ func TestDynamicTransferEndToEnd(t *testing.T) {
 			t.Fatalf("iter %d dims = %v", iter, meta.Dims)
 		}
 		fetched := make(chan error, 1)
-		if err := recv.Fetch(meta, send.ScratchDesc(), dstMR, 0, func(err error) { fetched <- err }); err != nil {
-			t.Fatal(err)
-		}
+		recv.FetchRetryAsync(meta, send.ScratchDesc(), dstMR, 0, TransferOpts{}, func(err error) { fetched <- err })
 		if err := <-fetched; err != nil {
 			t.Fatal(err)
 		}

@@ -44,11 +44,14 @@ echo "== go vet GOARCH=arm64 (non-assembly kernel build) =="
 GOARCH=arm64 go vet ./internal/tensor/
 
 # Crash-recovery and close/poll regression gates, including the edge-rebuild
-# region-leak check. go test -race ./... above already runs these; naming
-# them keeps the acceptance bar explicit even if package filters change.
+# region-leak check, and the async retry engine's gates (no goroutine per
+# in-flight transfer, one fin under duplicate completions, a failed stripe
+# read retried as a group, cancel during backoff). go test -race ./... above
+# already runs these; naming them keeps the acceptance bar explicit even if
+# package filters change.
 echo "== recovery & close/poll regression gates (-race) =="
 go test -race -run '^TestRecoveryWorkerCrashBitIdentical$|^TestHeartbeatDetectorExpiresAndResumes$|^TestLoadCheckpointRestoresRegisteredStorage$|^TestRebuildEdgesKeepsRegionCount$' ./internal/distributed/
-go test -race -run '^TestCloseMidTransferFailsFast$|^TestCloseMidStripedTransferFailsFast$|^TestClosePeerSeversThenRebuilds$' ./internal/rdma/
+go test -race -run '^TestCloseMidTransferFailsFast$|^TestCloseMidStripedTransferFailsFast$|^TestClosePeerSeversThenRebuilds$|^TestAsyncTransfersHoldNoGoroutine$|^TestAsyncRetryDuplicateCompletionsFinOnce$|^TestAsyncFetchRetriesFailedStripe$|^TestAsyncCanceledDuringBackoffPostsNothing$' ./internal/rdma/
 go test -race -run '^TestPurePollingBoundedSpin$|^TestPollBackoffPreservesFairness$' ./internal/exec/
 
 # Observability gates: the Prometheus encoder golden file, the live obs
