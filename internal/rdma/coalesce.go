@@ -62,7 +62,7 @@ func (r *CoalescedReceiver) Consume() { r.slot.Consume() }
 // AckRetry posts the reuse ack into the sender's ack word, unblocking its
 // next FlushRetry. Call after Consume (and after copying any payloads out).
 func (r *CoalescedReceiver) AckRetry(senderAck DynSlotDesc, opts TransferOpts) error {
-	return await(func(fin func(error)) { r.slot.ackRetry(r.source, r.ch, senderAck, opts, fin) })
+	return await(func(fin func(error)) { r.slot.AckRetryAsync(r.source, r.ch, senderAck, opts, fin) })
 }
 
 // CoalescedSender stages sub-messages for one peer's batch slot and flushes
@@ -76,7 +76,7 @@ type CoalescedSender struct {
 // FlagWordSize) of mr: the staging batch, the staged tail flag, and the ack
 // word the receiver writes back.
 func NewCoalescedSender(ch *Channel, mr *MemRegion, off int, desc StaticSlotDesc) (*CoalescedSender, error) {
-	slot, err := newAckSlot(ch, mr, off, desc)
+	slot, err := newAckSlot(ch, mr, off, off+StaticSlotSize(desc.PayloadSize), desc)
 	if err != nil {
 		return nil, err
 	}
@@ -89,7 +89,7 @@ func NewCoalescedSender(ch *Channel, mr *MemRegion, off int, desc StaticSlotDesc
 
 // AckDesc returns the address of the sender's ack word for the receiver.
 func (s *CoalescedSender) AckDesc() DynSlotDesc {
-	return DynSlotDesc{Region: s.s.mr.Descriptor(), Off: s.ackOff()}
+	return DynSlotDesc{Region: s.s.mr.Descriptor(), Off: s.ack}
 }
 
 // Stage appends one sub-message to the pending batch. The batch buffer is
@@ -115,5 +115,5 @@ func (s *CoalescedSender) Count() int { return s.w.Count() }
 func (s *CoalescedSender) FlushRetry(opts TransferOpts) error {
 	staged := s.w.Len()
 	label := func() string { return fmt.Sprintf("coalesced flush %dB to %s", staged, s.s.ch.Remote()) }
-	return await(func(fin func(error)) { s.sendRetry(label, staged, nil, opts, fin) })
+	return await(func(fin func(error)) { s.sendRetry(label, staged, nil, 0, opts, fin) })
 }

@@ -649,11 +649,11 @@ func (d *Device) executeMessage(peer string, payload []byte) error {
 // dstOff/srcOff in their regions) in ascending address order. If the
 // transfer ends on an 8-byte-aligned boundary at both ends and spans at
 // least one word, the final word is moved with an atomic load/store pair so
-// a tail flag (or credit counter) becomes visible only after the payload —
+// a tail flag (or version word) becomes visible only after the payload —
 // the emulator's rendering of the NIC's in-order DMA guarantee the §3.2
 // protocol depends on. Using an atomic load on the source side lets
-// protocols update single-word sources (e.g. ring-transport credit words)
-// with StoreWord without racing the in-flight transfer.
+// protocols update single-word sources (e.g. the serving plane's ack
+// scratch word) with StoreWord without racing the in-flight transfer.
 func orderedCopy(dst []byte, dstOff int, src []byte, srcOff int) {
 	n := len(src)
 	if n >= 8 && (dstOff+n)%8 == 0 && (srcOff+n)%8 == 0 {

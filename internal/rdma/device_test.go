@@ -254,7 +254,7 @@ func TestOnTransferCountsInlineWords(t *testing.T) {
 	ackMR, _ := b.AllocateMemRegion(FlagWordSize)
 	ack := DynSlotDesc{Region: ackMR.Descriptor()}
 	if err := await(func(fin func(error)) {
-		slot.ackRetry(nil, chanTo(t, a, "hostB:1"), ack, TransferOpts{}, fin)
+		slot.AckRetryAsync(nil, chanTo(t, a, "hostB:1"), ack, TransferOpts{}, fin)
 	}); err != nil {
 		t.Fatal(err)
 	}

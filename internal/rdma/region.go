@@ -76,8 +76,8 @@ func (m *MemRegion) SetFlagLocal(off int) {
 }
 
 // LoadWord atomically reads the 8-byte word at the aligned offset with
-// acquire semantics. Higher-level protocols (e.g. the ring transport's
-// credit counters) poll remotely written words through it.
+// acquire semantics. Higher-level protocols (e.g. the serving plane's
+// version and release-ack words) poll remotely written words through it.
 func (m *MemRegion) LoadWord(off int) uint64 {
 	return atomicLoad64(m.data, off)
 }

@@ -366,7 +366,8 @@ func (r *StaticReceiver) Wait(opts TransferOpts) error {
 // before memory writes), so no ack will ever arrive for it: the attempt
 // re-arms the ack word the gate cleared, or every later attempt would see
 // ErrBusy.
-func (a *ackSlot) sendRetry(what func() string, bytes int, stage []byte, opts TransferOpts, fin func(error)) {
+func (a *ackSlot) sendRetry(what func() string, bytes int, stage []byte, from int, opts TransferOpts,
+	fin func(error)) {
 	start := time.Now()
 	retryAsync(opts, what, func(cb func(error)) {
 		ch, release, err := laneFor(a.s.source, a.s.ch.Remote(), a.s.ch)
@@ -374,9 +375,9 @@ func (a *ackSlot) sendRetry(what func() string, bytes int, stage []byte, opts Tr
 			cb(err)
 			return
 		}
-		err = a.send(ch, stage, firstOnly(release, func(err error) {
+		err = a.send(ch, stage, from, firstOnly(release, func(err error) {
 			if err != nil {
-				a.s.mr.SetFlagLocal(a.ackOff())
+				a.s.mr.SetFlagLocal(a.ack)
 			}
 			cb(err)
 		}))
@@ -387,11 +388,11 @@ func (a *ackSlot) sendRetry(what func() string, bytes int, stage []byte, opts Tr
 	}, func(err error) { fin(observeComplete(opts, bytes, start, err)) })
 }
 
-// ackRetry posts the reuse ack, retrying transient faults within the opts
-// budget, and fires fin once it landed or failed for good; with src set
-// each attempt leases its lane. The ack is a constant one-word write, so
-// re-posting it is idempotent.
-func (r *StaticReceiver) ackRetry(src LaneSource, ch *Channel, ack DynSlotDesc, opts TransferOpts,
+// AckRetryAsync posts the reuse ack into the sender's ack word, retrying
+// transient faults within the opts budget, and fires fin once it landed or
+// failed for good; with src set each attempt leases its lane. The ack is a
+// constant one-word write, so re-posting it is idempotent.
+func (r *StaticReceiver) AckRetryAsync(src LaneSource, ch *Channel, ack DynSlotDesc, opts TransferOpts,
 	fin func(error)) {
 	retryAsync(opts, func() string { return "reuse ack" }, func(cb func(error)) {
 		lane, release, err := laneFor(src, ch.Remote(), ch)
@@ -425,7 +426,7 @@ func (s *DynSender) SendRetryAsync(payloadMR *MemRegion, payloadOff, payloadSize
 		return
 	}
 	s.sendRetry(func() string { return fmt.Sprintf("dyn send %dB to %s", payloadSize, s.s.ch.Remote()) },
-		payloadSize, img, opts, fin)
+		payloadSize, img, 0, opts, fin)
 }
 
 // WaitMeta blocks until the metadata flag is set and returns the decoded
@@ -505,7 +506,7 @@ func (r *DynReceiver) FetchRetryAsync(meta DynMeta, senderScratch DynSlotDesc,
 			done(fmt.Errorf("rdma: dyn fetch %s: %w", kind, err))
 			return
 		}
-		r.slot.ackRetry(nil, lanes[0], dynAck(senderScratch), o, func(err error) {
+		r.slot.AckRetryAsync(nil, lanes[0], dynAck(senderScratch), o, func(err error) {
 			if err != nil {
 				err = fmt.Errorf("rdma: dyn fetch ack: %w", err)
 			}

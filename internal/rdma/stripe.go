@@ -212,7 +212,7 @@ func (s *StaticSender) sendStripedOn(lanes []*Channel, payload []byte, stripes i
 		if onStripe != nil {
 			onStripe(0, StaticSlotSize(s.desc.PayloadSize))
 		}
-		return s.sendOn(lanes[0], cb)
+		return s.sendOn(lanes[0], 0, cb)
 	}
 	flagOff := s.off + alignUp(s.desc.PayloadSize)
 	remoteFlagOff := s.desc.Off + alignUp(s.desc.PayloadSize)

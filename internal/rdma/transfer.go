@@ -170,14 +170,15 @@ func (s *StaticSender) Buffer() []byte {
 // Send transfers the staging buffer (payload + set flag) to the remote slot
 // with a single one-sided write. cb fires on a CQ poller when the write
 // completes locally.
-func (s *StaticSender) Send(cb func(error)) error { return s.sendOn(s.ch, cb) }
+func (s *StaticSender) Send(cb func(error)) error { return s.sendOn(s.ch, 0, cb) }
 
-// sendOn is Send over an explicit channel (per-attempt lane acquisition).
-func (s *StaticSender) sendOn(ch *Channel, cb func(error)) error {
+// sendOn is Send over an explicit channel (per-attempt lane acquisition)
+// from payload byte from on: from > 0 skips a head the receiver ignores.
+func (s *StaticSender) sendOn(ch *Channel, from int, cb func(error)) error {
 	flagOff := s.off + alignUp(s.desc.PayloadSize)
 	s.mr.SetFlagLocal(flagOff)
-	size := StaticSlotSize(s.desc.PayloadSize)
-	return ch.Memcpy(s.off, s.mr, s.desc.Off, s.desc.Region, size, OpWrite, cb)
+	size := StaticSlotSize(s.desc.PayloadSize) - from
+	return ch.Memcpy(s.off+from, s.mr, s.desc.Off+from, s.desc.Region, size, OpWrite, cb)
 }
 
 // SendFrom copies payload into the staging buffer first and then performs
@@ -195,34 +196,33 @@ func (s *StaticSender) SendFrom(payload []byte, cb func(error)) error {
 // --- Ack-gated slot ---
 
 // ackSlot is a static slot whose reuse its receiver gates: a StaticSender
-// plus the reuse-ack word right after the staged tail flag. A send clears
-// the ack and writes payload+flag in one ascending single-lane write; the
-// receiver, once it consumed the slot, hands it back with postAck. The
-// dynamic protocol's metadata slot and the coalesced batch slot are both
-// ack-gated slots.
+// plus a reuse-ack word in the same region. A send clears the ack and
+// writes payload+flag in one ascending single-lane write; the receiver,
+// once it consumed the slot, hands it back with postAck. The dynamic
+// protocol's metadata slot, the coalesced batch slot (both with the ack
+// word right after the staged tail flag) and every slot of the gRPC.RDMA
+// ring (AckedSender) are ack-gated slots.
 type ackSlot struct {
-	s *StaticSender
+	s   *StaticSender
+	ack int // offset of the reuse-ack word in s.mr
 	// started is atomic: the scheduler polls PollReusable from its worker
 	// goroutine while a retried send re-arms the slot from a timer.
 	started atomic.Bool
 }
 
-// newAckSlot claims [off, off+StaticSlotSize(desc.PayloadSize)+FlagWordSize)
-// of mr: staging, staged tail flag, and the ack word.
-func newAckSlot(ch *Channel, mr *MemRegion, off int, desc StaticSlotDesc) (*ackSlot, error) {
+// newAckSlot claims [off, off+StaticSlotSize(desc.PayloadSize)) of mr as
+// staging and staged tail flag, and the aligned word at ack as the ack word.
+func newAckSlot(ch *Channel, mr *MemRegion, off, ack int, desc StaticSlotDesc) (*ackSlot, error) {
 	s, err := NewStaticSender(ch, mr, off, desc)
 	if err != nil {
 		return nil, err
 	}
-	a := &ackSlot{s: s}
-	if _, err := mr.Slice(a.ackOff(), FlagWordSize); err != nil {
-		return nil, err
+	if !mr.wordOK(ack) {
+		return nil, fmt.Errorf("rdma: ack word at %d of %d-byte region: %w", ack, mr.Size(), ErrBounds)
 	}
-	mr.ClearFlag(a.ackOff())
-	return a, nil
+	mr.ClearFlag(ack)
+	return &ackSlot{s: s, ack: ack}, nil
 }
-
-func (a *ackSlot) ackOff() int { return a.s.off + StaticSlotSize(a.s.desc.PayloadSize) }
 
 // SetLaneSource routes the slot's blocking sends through a per-attempt lane
 // source.
@@ -231,22 +231,23 @@ func (a *ackSlot) SetLaneSource(src LaneSource) { a.s.SetLaneSource(src) }
 // PollReusable reports whether the previous send has been acked (or none
 // happened yet), i.e. whether the slot may be written again.
 func (a *ackSlot) PollReusable() bool {
-	return !a.started.Load() || a.s.mr.PollFlag(a.ackOff())
+	return !a.started.Load() || a.s.mr.PollFlag(a.ack)
 }
 
 // send is the gate: ErrBusy while the previous send is unacked; otherwise
 // it clears the ack, copies stage (if any) into the staging buffer — only
 // now, since the previous write may read the buffer until the ack — and
-// writes payload+flag on ch. cb fires when the write completes locally.
-func (a *ackSlot) send(ch *Channel, stage []byte, cb func(error)) error {
+// writes payload bytes [from, PayloadSize) and the flag on ch. cb fires
+// when the write completes locally.
+func (a *ackSlot) send(ch *Channel, stage []byte, from int, cb func(error)) error {
 	if !a.PollReusable() {
 		return ErrBusy
 	}
 	a.started.Store(true)
-	a.s.mr.ClearFlag(a.ackOff())
+	a.s.mr.ClearFlag(a.ack)
 	copy(a.s.Buffer(), stage)
-	if err := a.s.sendOn(ch, cb); err != nil {
-		a.s.mr.SetFlagLocal(a.ackOff()) // nothing posted, so no ack will come
+	if err := a.s.sendOn(ch, from, cb); err != nil {
+		a.s.mr.SetFlagLocal(a.ack) // nothing posted, so no ack will come
 		return err
 	}
 	return nil
@@ -257,6 +258,42 @@ func (a *ackSlot) send(ch *Channel, stage []byte, cb func(error)) error {
 // needs no source region of its own. cb fires once the word landed.
 func (r *StaticReceiver) postAck(ch *Channel, ack DynSlotDesc, cb func(error)) {
 	postControl(ch, r.mr, r.off, ack.Region, []ctlWord{{ack.Off, FlagSet}}, cb)
+}
+
+// AckedSender is an ack-gated slot whose ack word the caller places: each
+// gRPC.RDMA ring slot has its ack word in one block, and a connection's
+// slots share one staging range (their sends never overlap).
+type AckedSender struct{ *ackSlot }
+
+// NewAckedSender claims [off, off+StaticSlotSize(desc.PayloadSize)) of mr as
+// staging and the word at ack as the reuse ack (see AckRetryAsync).
+func NewAckedSender(ch *Channel, mr *MemRegion, off, ack int, desc StaticSlotDesc) (*AckedSender, error) {
+	a, err := newAckSlot(ch, mr, off, ack, desc)
+	if err != nil {
+		return nil, err
+	}
+	return &AckedSender{a}, nil
+}
+
+// Buffer returns the staging payload bytes.
+func (s *AckedSender) Buffer() []byte { return s.s.Buffer() }
+
+// WaitReusable blocks until the previous send was acked (PollReusable), or
+// fails at the opts deadline or cancel.
+func (s *AckedSender) WaitReusable(opts TransferOpts) error {
+	return waitCond(opts, func() string { return "reuse ack" }, s.PollReusable)
+}
+
+// SendTailRetry writes staging payload bytes [from, PayloadSize) and the
+// tail flag in one ascending write through the gate, blocking until it
+// completed; ErrBusy and transient faults are retried within opts.
+func (s *AckedSender) SendTailRetry(from int, opts TransferOpts) error {
+	n := s.s.desc.PayloadSize - from
+	if from < 0 || n < 0 {
+		return fmt.Errorf("rdma: tail send from %d of %d: %w", from, s.s.desc.PayloadSize, ErrBounds)
+	}
+	label := func() string { return fmt.Sprintf("acked send %dB to %s", n, s.s.ch.Remote()) }
+	return await(func(fin func(error)) { s.sendRetry(label, n, nil, from, opts, fin) })
 }
 
 // --- Dynamic allocation protocol ---
@@ -415,7 +452,7 @@ type DynSender struct {
 // NewDynSender claims DynMetaSize bytes at off in mr as scratch for sends to
 // the given receiver metadata slot.
 func NewDynSender(ch *Channel, mr *MemRegion, off int, meta DynSlotDesc) (*DynSender, error) {
-	slot, err := newAckSlot(ch, mr, off,
+	slot, err := newAckSlot(ch, mr, off, off+dynMetaAckOff,
 		StaticSlotDesc{Region: meta.Region, Off: meta.Off, PayloadSize: dynMetaFlagOff})
 	if err != nil {
 		return nil, err
@@ -439,7 +476,7 @@ func (s *DynSender) Send(payloadMR *MemRegion, payloadOff, payloadSize int,
 	if err := encodeDynMeta(img[:], payloadMR, payloadOff, payloadSize, dtype, dims); err != nil {
 		return err
 	}
-	return s.send(s.s.ch, img[:], cb)
+	return s.send(s.s.ch, img[:], 0, cb)
 }
 
 // encodeDynMeta validates one transfer's description and encodes its

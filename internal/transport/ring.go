@@ -1,33 +1,29 @@
 package transport
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
+	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/rdma"
 )
 
-// Ring transport: RDMA streaming through a fixed ring buffer of receive
-// slots, the architecture TensorFlow r1.x uses to wrap RDMA under gRPC and
-// the one FaRM's messaging primitive popularized. The paper's §2.2 spells
-// out its structural costs, all present here:
-//
-//   - the receiver owns a fixed-size in-library ring, so arbitrary-size
-//     messages must be fragmented by the sender and reassembled by the
-//     receiver;
-//   - every inbound fragment is copied out of the ring into a message
-//     buffer before delivery (the in-library copy RPC cannot avoid);
-//   - flow control needs credit writes from receiver back to sender.
-//
-// Wire layout per slot: [fragLen u32 | last u32 | payload ... | flag u64].
-// Fragments of one connection travel over a single QP, so they arrive in
-// order and a "last" bit suffices to delimit messages. After consuming a
-// slot the receiver clears its flag and one-sided-writes its consumed count
-// into the sender's credit word; the sender stalls when the ring is full.
+// Ring transport: RDMA streaming through a fixed ring of receive slots, the
+// way TensorFlow r1.x wraps RDMA under gRPC, with the costs §2.2 lists: a
+// fixed in-library ring (messages are fragmented and reassembled), a copy
+// of every fragment out of the ring, and credit writes back to the sender.
+// The slot mechanics are rdma's static-slot engine. A ring slot is a
+// StaticReceiver whose payload ends in [fragment | fragLen u32 | more u32]
+// before the flag, so a fragment is one ascending write of just those
+// bytes from the sender's one staging slot. The credit is the slot's reuse
+// ack: Recv posts it once it copied the fragment out, and the slot's
+// AckedSender waits for it. One QP carries a connection's fragments in
+// slot order; no goroutine runs per connection.
 
 const (
 	ringSlotHeader = 8
@@ -37,471 +33,267 @@ const (
 	DefaultRingSlotSize = 64 << 10
 )
 
-// DefaultSendTimeout bounds how long a Send waits for ring credit plus how
-// long its fragment writes may retry transient fabric faults.
+// DefaultSendTimeout bounds how long a fragment waits for ring credit and
+// how long its write may retry transient fabric faults.
 const DefaultSendTimeout = 10 * time.Second
 
 // RingConfig parameterizes a ring connection's two directions.
 type RingConfig struct {
 	Slots    int // slots per direction
-	SlotSize int // bytes per slot, including header and flag word
-	// SendTimeout is the per-fragment deadline: credit wait plus write
+	SlotSize int // bytes per slot, a multiple of 8, including header and flag word
+	// SendTimeout bounds each fragment's credit wait and, again, its write
 	// retries. Zero selects DefaultSendTimeout.
 	SendTimeout time.Duration
-	// OnSend, if non-nil, observes each completed Send as (message bytes,
-	// wall duration including fragmentation, credit waits, and retries) —
-	// the observability hook for RPC-transport latency histograms.
+	// OnSend, if non-nil, observes each completed Send's bytes and wall time
+	// (fragmentation, credit waits, retries): the RPC latency histogram hook.
 	OnSend func(bytes int, d time.Duration)
 }
 
-func (c *RingConfig) setDefaults() {
-	if c.Slots == 0 {
-		c.Slots = DefaultRingSlots
+// normalize fills in defaults and rejects unaligned or payload-less slots.
+func (c *RingConfig) normalize() error {
+	c.Slots, c.SlotSize = cmp.Or(c.Slots, DefaultRingSlots), cmp.Or(c.SlotSize, DefaultRingSlotSize)
+	c.SendTimeout = cmp.Or(max(c.SendTimeout, 0), DefaultSendTimeout)
+	if c.Slots < 1 || c.SlotSize%8 != 0 || c.slotCap() < 1 {
+		return fmt.Errorf("transport: ring of %d slots x %d bytes (want >= 1 slot of an 8-aligned size above %d): %w",
+			c.Slots, c.SlotSize, ringSlotHeader+rdma.FlagWordSize, rdma.ErrBadConfig)
 	}
-	if c.SlotSize == 0 {
-		c.SlotSize = DefaultRingSlotSize
-	}
-	if c.SendTimeout <= 0 {
-		c.SendTimeout = DefaultSendTimeout
-	}
+	return nil
 }
 
-// slotCap is the payload capacity of one slot.
+// slotCap is the fragment capacity of one slot.
 func (c RingConfig) slotCap() int { return c.SlotSize - ringSlotHeader - rdma.FlagWordSize }
 
-// ringHalf is the receive state of one direction: the local ring the peer
-// writes into, plus the credit word we bump on the peer after consuming.
-type ringHalf struct {
-	cfg     RingConfig
-	ring    *rdma.MemRegion
-	ch      *rdma.Channel // channel back to the peer, for credit writes
-	credit  rdma.RemoteRegion
-	stage   *rdma.MemRegion // staging word for credit writes
-	nextIdx uint64          // next slot to consume
-}
-
-// ringPeer is the send state of one direction: the remote ring we write
-// into plus the local credit word the peer bumps.
-type ringPeer struct {
-	cfg      RingConfig
-	ring     rdma.RemoteRegion
-	ch       *rdma.Channel
-	creditMR *rdma.MemRegion // peer writes consumed count here
-	stage    *rdma.MemRegion // staging area for slot writes
-	sent     uint64
-}
-
-// ringConn is a duplex Conn over two rings.
-type ringConn struct {
-	half  *ringHalf
-	peer  *ringPeer
-	recvQ *msgQueue
-
-	sendMu sync.Mutex
-
-	closeOnce sync.Once
-	done      chan struct{}
-}
-
-// handshake payload: cfg + recv-ring descriptor + credit descriptor.
+// ringHello is the handshake payload: the geometry, the ring the peer
+// writes into, and the block of ack words (one per peer slot) it acks into.
 type ringHello struct {
 	Slots    uint32
 	SlotSize uint32
 	Ring     rdma.RemoteRegion
-	Credit   rdma.RemoteRegion
+	Ack      rdma.RemoteRegion
 }
 
 func (h ringHello) marshal() []byte {
-	buf := make([]byte, 0, 8+64)
-	buf = binary.LittleEndian.AppendUint32(buf, h.Slots)
+	buf := binary.LittleEndian.AppendUint32(nil, h.Slots)
 	buf = binary.LittleEndian.AppendUint32(buf, h.SlotSize)
-	ring := h.Ring.Marshal()
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ring)))
-	buf = append(buf, ring...)
-	return append(buf, h.Credit.Marshal()...)
+	return append(append(buf, h.Ring.Marshal()...), h.Ack.Marshal()...)
 }
 
-func unmarshalRingHello(buf []byte) (ringHello, error) {
-	var h ringHello
-	if len(buf) < 12 {
+func unmarshalRingHello(buf []byte) (h ringHello, err error) {
+	if len(buf) < 8 {
 		return h, fmt.Errorf("transport: short ring hello (%d bytes)", len(buf))
 	}
-	h.Slots = binary.LittleEndian.Uint32(buf)
-	h.SlotSize = binary.LittleEndian.Uint32(buf[4:])
-	n := int(binary.LittleEndian.Uint32(buf[8:]))
-	if len(buf) < 12+n {
-		return h, fmt.Errorf("transport: truncated ring hello")
+	h.Slots, h.SlotSize = binary.LittleEndian.Uint32(buf), binary.LittleEndian.Uint32(buf[4:])
+	if h.Ring, err = rdma.UnmarshalRemoteRegion(buf[8:]); err == nil {
+		h.Ack, err = rdma.UnmarshalRemoteRegion(buf[8+len(h.Ring.Marshal()):])
 	}
-	ring, err := rdma.UnmarshalRemoteRegion(buf[12 : 12+n])
-	if err != nil {
-		return h, err
-	}
-	credit, err := rdma.UnmarshalRemoteRegion(buf[12+n:])
-	if err != nil {
-		return h, err
-	}
-	h.Ring, h.Credit = ring, credit
-	return h, nil
+	return h, err
 }
 
-// newRingHalf allocates the local receive ring and credit staging.
-func newRingHalf(dev *rdma.Device, cfg RingConfig) (*ringHalf, *rdma.MemRegion, error) {
-	ring, err := dev.AllocateMemRegion(cfg.Slots * cfg.SlotSize)
-	if err != nil {
-		return nil, nil, err
-	}
-	stage, err := dev.AllocateMemRegion(rdma.FlagWordSize)
-	if err != nil {
-		return nil, nil, err
-	}
-	// creditMR is owned by the *sending* half of the peer; we allocate the
-	// word the peer will bump for the messages we send, so it is returned
-	// separately for the hello.
-	creditMR, err := dev.AllocateMemRegion(rdma.FlagWordSize)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &ringHalf{cfg: cfg, ring: ring, stage: stage}, creditMR, nil
-}
-
-// RingListenerService is the RPC method name the ring transport registers
-// on its device.
+// RingListenerService is the connect RPC the ring transport registers.
 const RingListenerService = "transport.ring.connect"
 
-// RingNetwork returns the substrate descriptor for ring connections made
-// from the given local device. Addresses are fabric endpoints.
+// RingNetwork returns the substrate for ring connections from dev, addressed
+// by fabric endpoint; a bad geometry fails Listen and Dial with ErrBadConfig.
 func RingNetwork(dev *rdma.Device, cfg RingConfig) Network {
-	cfg.setDefaults()
+	if err := cfg.normalize(); err != nil {
+		return Network{Name: "rdma-ring", Listen: func(string) (Listener, error) { return nil, err },
+			Dial: func(string) (Conn, error) { return nil, err }}
+	}
 	return Network{
-		Name: "rdma-ring",
-		Listen: func(addr string) (Listener, error) {
-			return listenRing(dev, cfg)
-		},
+		Name:   "rdma-ring",
+		Listen: func(string) (Listener, error) { return listenRing(dev, cfg), nil },
 		Dial: func(addr string) (Conn, error) {
-			return dialRing(dev, addr, cfg)
+			ch, err := dev.GetChannel(addr, 0)
+			if err != nil {
+				return nil, err
+			}
+			// Retried so setup survives a lossy fabric; a lost reply leaves a conn to accept.
+			return openRing(dev, ch, cfg, func(h ringHello) (ringHello, error) {
+				resp, err := ch.CallRetry(RingListenerService, h.marshal(), rdma.TransferOpts{Deadline: cfg.SendTimeout})
+				if err != nil {
+					return h, fmt.Errorf("transport: ring connect to %s: %w", addr, err)
+				}
+				return unmarshalRingHello(resp)
+			})
 		},
 	}
 }
 
-type ringListener struct {
-	dev    *rdma.Device
-	accept chan Conn
-	once   sync.Once
-	done   chan struct{}
-}
-
-func listenRing(dev *rdma.Device, cfg RingConfig) (Listener, error) {
-	l := &ringListener{dev: dev, accept: make(chan Conn, 16), done: make(chan struct{})}
+func listenRing(dev *rdma.Device, cfg RingConfig) Listener {
+	l := newChanListener(dev.Endpoint(), nil)
 	dev.RegisterRPC(RingListenerService, func(from string, req []byte) ([]byte, error) {
-		clientHello, err := unmarshalRingHello(req)
-		if err != nil {
-			return nil, err
-		}
 		ch, err := dev.GetChannel(from, 0)
 		if err != nil {
 			return nil, err
 		}
-		conn, hello, err := buildRingConn(dev, ch, cfg, clientHello)
+		var reply []byte
+		c, err := openRing(dev, ch, cfg, func(h ringHello) (ringHello, error) {
+			reply = h.marshal()
+			return unmarshalRingHello(req)
+		})
 		if err != nil {
 			return nil, err
 		}
-		select {
-		case l.accept <- conn:
-			return hello.marshal(), nil
-		case <-l.done:
-			conn.Close()
+		if !l.offer(c) {
+			c.Close()
 			return nil, ErrClosed
 		}
+		return reply, nil
 	})
-	return l, nil
+	return l
 }
 
-func (l *ringListener) Accept() (Conn, error) {
-	select {
-	case c := <-l.accept:
-		return c, nil
-	case <-l.done:
-		return nil, ErrClosed
-	}
+// ringConn is a duplex Conn: Recv drains our ring, Send fills the peer's.
+type ringConn struct {
+	dev     *rdma.Device
+	ch      *rdma.Channel
+	cfg     RingConfig
+	ring    *rdma.MemRegion // the slots the peer writes into
+	send    *rdma.MemRegion // one ack word per peer ring slot, then the staging slot
+	peerAck rdma.RemoteRegion
+
+	recvMu sync.Mutex
+	slots  []*rdma.StaticReceiver
+	next   int            // the slot Recv polls next
+	acks   sync.WaitGroup // reuse acks in flight
+
+	sendMu  sync.Mutex
+	senders []*rdma.AckedSender // one per peer ring slot, all staging in one slot
+	sent    int                 // the peer slot Send writes next
+
+	closed    atomic.Bool
+	closeOnce sync.Once
 }
 
-func (l *ringListener) Addr() string { return l.dev.Endpoint() }
-
-func (l *ringListener) Close() error {
-	l.once.Do(func() { close(l.done) })
-	return nil
-}
-
-func dialRing(dev *rdma.Device, addr string, cfg RingConfig) (Conn, error) {
-	ch, err := dev.GetChannel(addr, 0)
+// openRing registers a connection's two regions, trades hellos through
+// exchange and claims its slots; on failure nothing stays registered.
+func openRing(dev *rdma.Device, ch *rdma.Channel, cfg RingConfig,
+	exchange func(ringHello) (ringHello, error)) (*ringConn, error) {
+	ring, err := dev.AllocateMemRegion(cfg.Slots * cfg.SlotSize)
 	if err != nil {
 		return nil, err
 	}
-	half, creditMR, err := newRingHalf(dev, cfg)
+	send, err := dev.AllocateMemRegion(cfg.Slots*rdma.FlagWordSize + cfg.SlotSize)
 	if err != nil {
+		dev.FreeMemRegion(ring)
 		return nil, err
 	}
-	hello := ringHello{
-		Slots:    uint32(cfg.Slots),
-		SlotSize: uint32(cfg.SlotSize),
-		Ring:     half.ring.Descriptor(),
-		Credit:   creditMR.Descriptor(),
+	c := &ringConn{dev: dev, ch: ch, cfg: cfg, ring: ring, send: send}
+	peer, err := exchange(ringHello{Slots: uint32(cfg.Slots), SlotSize: uint32(cfg.SlotSize),
+		Ring: ring.Descriptor(), Ack: send.Descriptor()})
+	if err == nil && (int(peer.Slots) != cfg.Slots || int(peer.SlotSize) != cfg.SlotSize) {
+		err = fmt.Errorf("transport: ring config mismatch: local %d×%d, peer %d×%d",
+			cfg.Slots, cfg.SlotSize, peer.Slots, peer.SlotSize)
 	}
-	// The connect RPC is idempotent on transient failure only until the
-	// server builds its half, but a dropped request never reached it, and a
-	// dropped response surfaces as ErrRPCTimeout after the server side
-	// already queued the conn — acceptable for an accept loop. Retry within
-	// the send deadline so connection setup survives a lossy fabric.
-	resp, err := ch.CallRetry(RingListenerService, hello.marshal(),
-		rdma.TransferOpts{Deadline: cfg.SendTimeout})
-	if err != nil {
-		return nil, fmt.Errorf("transport: ring connect to %s: %w", addr, err)
+	c.peerAck = peer.Ack
+	payload, stage := cfg.SlotSize-rdma.FlagWordSize, cfg.Slots*rdma.FlagWordSize
+	for i := 0; err == nil && i < cfg.Slots; i++ {
+		var r *rdma.StaticReceiver
+		var s *rdma.AckedSender
+		if r, err = rdma.NewStaticReceiver(ring, i*cfg.SlotSize, payload); err == nil {
+			s, err = rdma.NewAckedSender(ch, send, stage, i*rdma.FlagWordSize,
+				rdma.StaticSlotDesc{Region: peer.Ring, Off: i * cfg.SlotSize, PayloadSize: payload})
+		}
+		c.slots, c.senders = append(c.slots, r), append(c.senders, s)
 	}
-	serverHello, err := unmarshalRingHello(resp)
 	if err != nil {
+		c.free()
 		return nil, err
 	}
-	return assembleRingConn(dev, ch, cfg, half, creditMR, serverHello)
+	return c, nil
 }
 
-// buildRingConn is the accept-side constructor: allocate our half, wire the
-// peer state from the client's hello, and return our hello.
-func buildRingConn(dev *rdma.Device, ch *rdma.Channel, cfg RingConfig, peerHello ringHello) (*ringConn, ringHello, error) {
-	half, creditMR, err := newRingHalf(dev, cfg)
-	if err != nil {
-		return nil, ringHello{}, err
-	}
-	hello := ringHello{
-		Slots:    uint32(cfg.Slots),
-		SlotSize: uint32(cfg.SlotSize),
-		Ring:     half.ring.Descriptor(),
-		Credit:   creditMR.Descriptor(),
-	}
-	conn, err := assembleRingConn(dev, ch, cfg, half, creditMR, peerHello)
-	if err != nil {
-		return nil, ringHello{}, err
-	}
-	return conn, hello, nil
+func (c *ringConn) free() {
+	c.dev.FreeMemRegion(c.ring)
+	c.dev.FreeMemRegion(c.send)
 }
 
-func assembleRingConn(dev *rdma.Device, ch *rdma.Channel, cfg RingConfig,
-	half *ringHalf, creditMR *rdma.MemRegion, peerHello ringHello) (*ringConn, error) {
-	if int(peerHello.Slots) != cfg.Slots || int(peerHello.SlotSize) != cfg.SlotSize {
-		return nil, fmt.Errorf("transport: ring config mismatch: local %d×%d, peer %d×%d",
-			cfg.Slots, cfg.SlotSize, peerHello.Slots, peerHello.SlotSize)
-	}
-	stage, err := dev.AllocateMemRegion(cfg.SlotSize)
-	if err != nil {
-		return nil, err
-	}
-	half.ch = ch
-	half.credit = peerHello.Credit
-	peer := &ringPeer{
-		cfg:      cfg,
-		ring:     peerHello.Ring,
-		ch:       ch,
-		creditMR: creditMR,
-		stage:    stage,
-	}
-	conn := &ringConn{
-		half:  half,
-		peer:  peer,
-		recvQ: newMsgQueue(64),
-		done:  make(chan struct{}),
-	}
-	go conn.pollLoop()
-	return conn, nil
-}
-
-// Send fragments msg into ring slots on the peer, copying each fragment
-// through the registered staging buffer (the sender-side copy the paper's
-// zero-copy path eliminates).
+// Send fragments msg into the peer's ring slots through the registered
+// staging slot (the sender-side copy zero-copy RDMA eliminates). SendTimeout
+// bounds each credit wait and each write: a stalled peer fails it typed.
 func (c *ringConn) Send(msg []byte) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
 	start := time.Now()
-	cap := c.peer.cfg.slotCap()
-	rem := msg
-	for first := true; first || len(rem) > 0; first = false {
-		frag := rem
-		if len(frag) > cap {
-			frag = frag[:cap]
+	for rem, first := msg, true; first || len(rem) > 0; first = false {
+		if c.closed.Load() {
+			return ErrClosed
 		}
-		rem = rem[len(frag):]
-		if err := c.sendFragment(frag, len(rem) == 0); err != nil {
-			return err
+		opts := rdma.TransferOpts{Deadline: c.cfg.SendTimeout, Canceled: c.closed.Load}
+		s := c.senders[c.sent]
+		if err := s.WaitReusable(opts); err != nil {
+			return sendErr("credit wait", err)
 		}
+		n := min(len(rem), c.cfg.slotCap())
+		buf := s.Buffer()
+		hdr := len(buf) - ringSlotHeader
+		copy(buf[hdr-n:], rem[:n])
+		rem = rem[n:]
+		binary.LittleEndian.PutUint32(buf[hdr:], uint32(n))
+		binary.LittleEndian.PutUint32(buf[hdr+4:], uint32(min(len(rem), 1))) // more fragments follow
+		if err := s.SendTailRetry(hdr-n, opts); err != nil {
+			return sendErr("fragment write", err)
+		}
+		c.sent = (c.sent + 1) % len(c.senders)
 	}
-	if hook := c.peer.cfg.OnSend; hook != nil {
+	if hook := c.cfg.OnSend; hook != nil {
 		hook(len(msg), time.Since(start))
 	}
 	return nil
 }
 
-func (c *ringConn) sendFragment(frag []byte, last bool) error {
-	p := c.peer
-	deadline := time.Now().Add(p.cfg.SendTimeout)
-	// Flow control: wait for a free slot, bounded by the send deadline so a
-	// stalled or partitioned peer yields a typed error, not a hung sender.
-	for spins := 0; p.sent-p.creditMR.LoadWord(0) >= uint64(p.cfg.Slots); spins++ {
-		select {
-		case <-c.done:
-			return ErrClosed
-		default:
-		}
-		if spins > 1024 {
-			if time.Now().After(deadline) {
-				return fmt.Errorf("transport: ring send: no credit after %v (peer stalled or partitioned): %w",
-					p.cfg.SendTimeout, ErrTimeout)
-			}
-			time.Sleep(10 * time.Microsecond)
-		} else {
-			runtime.Gosched()
-		}
+// sendErr maps rdma's ErrCanceled to ErrClosed and wraps ErrTimeout in ours.
+func sendErr(what string, err error) error {
+	if errors.Is(err, rdma.ErrCanceled) {
+		return ErrClosed
 	}
-	slot := int(p.sent % uint64(p.cfg.Slots))
-	base := slot * p.cfg.SlotSize
-
-	// Stage header+payload, then write them and the flag with two in-order
-	// work requests on the same QP.
-	stage := p.stage.Bytes()
-	lastBit := uint32(0)
-	if last {
-		lastBit = 1
-	}
-	binary.LittleEndian.PutUint32(stage, uint32(len(frag)))
-	binary.LittleEndian.PutUint32(stage[4:], lastBit)
-	copy(stage[ringSlotHeader:], frag)
-	p.stage.SetFlagLocal(p.cfg.SlotSize - rdma.FlagWordSize)
-
-	// Both writes are idempotent (same bytes to the same unconsumed slot; the
-	// receiver only looks past the header once the flag lands), so transient
-	// fabric faults are retried within the remaining deadline. The payload
-	// write is awaited before the flag write is posted, preserving the
-	// payload-before-flag order across retries.
-	// remainingOpts clamps to a tiny positive budget when the deadline has
-	// already passed, so MemcpyRetry fails fast instead of silently picking
-	// up the 10s default a non-positive Deadline would select.
-	remainingOpts := func() rdma.TransferOpts {
-		rem := time.Until(deadline)
-		if rem <= 0 {
-			rem = time.Millisecond
-		}
-		return rdma.TransferOpts{Deadline: rem}
-	}
-	payloadBytes := ringSlotHeader + len(frag)
-	flagOff := p.cfg.SlotSize - rdma.FlagWordSize
-	if err := p.ch.MemcpyRetry(0, p.stage, base, p.ring, payloadBytes, rdma.OpWrite, remainingOpts()); err != nil {
-		return wrapSendErr("fragment write", err)
-	}
-	if err := p.ch.MemcpyRetry(flagOff, p.stage, base+flagOff, p.ring,
-		rdma.FlagWordSize, rdma.OpWrite, remainingOpts()); err != nil {
-		return wrapSendErr("flag write", err)
-	}
-	p.sent++
-	return nil
-}
-
-// wrapSendErr folds an exhausted rdma retry budget into the transport's own
-// timeout type (both remain visible to errors.Is); other errors pass through.
-func wrapSendErr(what string, err error) error {
 	if errors.Is(err, rdma.ErrTimeout) {
-		return fmt.Errorf("transport: ring %s: %w (%w)", what, ErrTimeout, err)
+		err = fmt.Errorf("%w (%w)", ErrTimeout, err)
 	}
 	return fmt.Errorf("transport: ring %s: %w", what, err)
 }
 
-// pollLoop is the receiver: it polls ring slots in order, reassembles
-// messages (copying fragments out of the ring), bumps the peer's credit
-// word, and delivers completed messages.
-func (c *ringConn) pollLoop() {
-	h := c.half
-	var assembly []byte
-	var consumed uint64
-	spins := 0
-	for {
-		select {
-		case <-c.done:
-			return
-		default:
-		}
-		slot := int(h.nextIdx % uint64(h.cfg.Slots))
-		base := slot * h.cfg.SlotSize
-		flagOff := base + h.cfg.SlotSize - rdma.FlagWordSize
-		if !h.ring.PollFlag(flagOff) {
-			spins++
-			if spins > 1024 {
-				time.Sleep(10 * time.Microsecond)
-			} else {
-				runtime.Gosched()
-			}
-			continue
-		}
-		spins = 0
-		data := h.ring.Bytes()[base:]
-		fragLen := int(binary.LittleEndian.Uint32(data))
-		last := binary.LittleEndian.Uint32(data[4:]) == 1
-		if fragLen > h.cfg.slotCap() {
-			fragLen = h.cfg.slotCap() // corrupt header: clamp, drop at reassembly
-		}
-		// The in-library copy out of the ring.
-		assembly = append(assembly, data[ringSlotHeader:ringSlotHeader+fragLen]...)
-		h.ring.ClearFlag(flagOff)
-		h.nextIdx++
-		consumed++
-
-		// Bump the sender's credit word (one-sided write of our count).
-		c.postCredit(consumed)
-
-		if last {
-			msg := assembly
-			assembly = nil
-			if !c.recvQ.put(msg) {
-				return
-			}
-		}
-	}
-}
-
-// postCredit one-sided-writes the absolute consumed count into the sender's
-// credit word. The write is fire-and-forget on the fast path — a later credit
-// write supersedes a dropped one because the count is absolute and monotone —
-// but a transiently dropped write is re-driven in the background so the very
-// last credit of a burst cannot be lost and stall the sender until its
-// deadline. The staging word is stored atomically (StoreWord) and the
-// single-word transfer reads it atomically, so a newer count racing the
-// retry only makes the credit fresher.
-func (c *ringConn) postCredit(consumed uint64) {
-	h := c.half
-	h.stage.StoreWord(0, consumed)
-	_ = h.ch.Memcpy(0, h.stage, 0, h.credit, rdma.FlagWordSize, rdma.OpWrite, func(err error) {
-		if err == nil || !Retryable(err) {
-			return
-		}
-		select {
-		case <-c.done:
-			return
-		default:
-		}
-		go func() {
-			_ = h.ch.MemcpyRetry(0, h.stage, 0, h.credit, rdma.FlagWordSize, rdma.OpWrite,
-				rdma.TransferOpts{Deadline: h.cfg.SendTimeout})
-		}()
-	})
-}
-
+// Recv polls the ring slot by slot, copying each fragment out and handing
+// the slot back to the sender, until a message's last fragment arrived.
 func (c *ringConn) Recv() ([]byte, error) {
-	msg, ok := c.recvQ.take()
-	if !ok {
-		return nil, ErrClosed
+	c.recvMu.Lock()
+	defer c.recvMu.Unlock()
+	var msg []byte
+	for {
+		r := c.slots[c.next]
+		// An idle connection never times out; Close cancels the wait.
+		err := r.Wait(rdma.TransferOpts{Deadline: math.MaxInt64, Canceled: c.closed.Load})
+		if err != nil || c.closed.Load() {
+			return nil, ErrClosed
+		}
+		p := r.Payload()
+		hdr := len(p) - ringSlotHeader
+		n := min(int(binary.LittleEndian.Uint32(p[hdr:])), hdr) // clamp a corrupt length
+		more := binary.LittleEndian.Uint32(p[hdr+4:]) != 0
+		msg = append(msg, p[hdr-n:hdr]...) // the in-library copy out of the ring
+		r.Consume()
+		c.acks.Add(1)
+		r.AckRetryAsync(nil, c.ch, rdma.DynSlotDesc{Region: c.peerAck, Off: c.next * rdma.FlagWordSize},
+			rdma.TransferOpts{Deadline: c.cfg.SendTimeout, Canceled: c.closed.Load},
+			func(error) { c.acks.Done() })
+		c.next = (c.next + 1) % len(c.slots)
+		if !more {
+			return msg, nil
+		}
 	}
-	return msg, nil
 }
 
+// Close cancels a blocked Send or Recv, waits for them and the acks in
+// flight, and frees the connection's regions.
 func (c *ringConn) Close() error {
 	c.closeOnce.Do(func() {
-		close(c.done)
-		c.recvQ.close()
+		c.closed.Store(true)
+		c.sendMu.Lock()
+		c.recvMu.Lock()
+		c.acks.Wait()
+		c.free()
+		c.recvMu.Unlock()
+		c.sendMu.Unlock()
 	})
 	return nil
 }

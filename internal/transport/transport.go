@@ -80,8 +80,7 @@ type Network struct {
 	Dial Dialer
 }
 
-// chanConn is the shared bounded-queue duplex connection used by the pipe
-// transport and as the delivery queue of the ring transport.
+// chanConn is the bounded-queue duplex connection of the pipe transport.
 type chanConn struct {
 	sendQ *msgQueue
 	recvQ *msgQueue
@@ -164,26 +163,18 @@ func (q *msgQueue) close() {
 // PipeNetwork is an in-process network of named listeners.
 type PipeNetwork struct {
 	mu        sync.Mutex
-	listeners map[string]*pipeListener
+	listeners map[string]*chanListener
 	next      int
 }
 
 // NewPipeNetwork creates an empty in-process network.
 func NewPipeNetwork() *PipeNetwork {
-	return &PipeNetwork{listeners: make(map[string]*pipeListener)}
+	return &PipeNetwork{listeners: make(map[string]*chanListener)}
 }
 
 // Network returns the substrate descriptor for this pipe network.
 func (n *PipeNetwork) Network() Network {
 	return Network{Name: "pipe", Listen: n.Listen, Dial: n.Dial}
-}
-
-type pipeListener struct {
-	net    *PipeNetwork
-	addr   string
-	accept chan Conn
-	once   sync.Once
-	done   chan struct{}
 }
 
 // Listen registers a listener; addr "" picks a fresh address.
@@ -197,7 +188,11 @@ func (n *PipeNetwork) Listen(addr string) (Listener, error) {
 	if _, ok := n.listeners[addr]; ok {
 		return nil, fmt.Errorf("transport: address %q in use", addr)
 	}
-	l := &pipeListener{net: n, addr: addr, accept: make(chan Conn, 16), done: make(chan struct{})}
+	l := newChanListener(addr, func() {
+		n.mu.Lock()
+		delete(n.listeners, addr)
+		n.mu.Unlock()
+	})
 	n.listeners[addr] = l
 	return l, nil
 }
@@ -213,16 +208,39 @@ func (n *PipeNetwork) Dial(addr string) (Conn, error) {
 	const depth = 64
 	aToB, bToA := newMsgQueue(depth), newMsgQueue(depth)
 	client := &chanConn{sendQ: aToB, recvQ: bToA}
-	server := &chanConn{sendQ: bToA, recvQ: aToB}
-	select {
-	case l.accept <- server:
-		return client, nil
-	case <-l.done:
+	if !l.offer(&chanConn{sendQ: bToA, recvQ: aToB}) {
 		return nil, ErrClosed
+	}
+	return client, nil
+}
+
+// chanListener is the accept queue of the pipe and ring listeners: the
+// transport offers each inbound connection, Accept takes it.
+type chanListener struct {
+	addr    string
+	accept  chan Conn
+	once    sync.Once
+	done    chan struct{}
+	onClose func() // if non-nil, runs once on Close
+}
+
+// newChanListener queues up to 16 offered connections, so a dial completes
+// before its listener's owner gets round to Accept.
+func newChanListener(addr string, onClose func()) *chanListener {
+	return &chanListener{addr: addr, accept: make(chan Conn, 16), done: make(chan struct{}), onClose: onClose}
+}
+
+// offer queues c for Accept; it reports false once the listener closed.
+func (l *chanListener) offer(c Conn) bool {
+	select {
+	case l.accept <- c:
+		return true
+	case <-l.done:
+		return false
 	}
 }
 
-func (l *pipeListener) Accept() (Conn, error) {
+func (l *chanListener) Accept() (Conn, error) {
 	select {
 	case c := <-l.accept:
 		return c, nil
@@ -231,14 +249,14 @@ func (l *pipeListener) Accept() (Conn, error) {
 	}
 }
 
-func (l *pipeListener) Addr() string { return l.addr }
+func (l *chanListener) Addr() string { return l.addr }
 
-func (l *pipeListener) Close() error {
+func (l *chanListener) Close() error {
 	l.once.Do(func() {
 		close(l.done)
-		l.net.mu.Lock()
-		delete(l.net.listeners, l.addr)
-		l.net.mu.Unlock()
+		if l.onClose != nil {
+			l.onClose()
+		}
 	})
 	return nil
 }

@@ -54,6 +54,14 @@ go test -race -run '^TestRecoveryWorkerCrashBitIdentical$|^TestHeartbeatDetector
 go test -race -run '^TestCloseMidTransferFailsFast$|^TestCloseMidStripedTransferFailsFast$|^TestClosePeerSeversThenRebuilds$|^TestAsyncTransfersHoldNoGoroutine$|^TestAsyncRetryDuplicateCompletionsFinOnce$|^TestAsyncFetchRetriesFailedStripe$|^TestAsyncCanceledDuringBackoffPostsNothing$' ./internal/rdma/
 go test -race -run '^TestPurePollingBoundedSpin$|^TestPollBackoffPreservesFairness$' ./internal/exec/
 
+# gRPC.RDMA ring transport gates: the ring suite on the static-slot engine
+# (fragmentation, per-slot reuse acks as credit, typed send timeouts under
+# drops, partitions and credit starvation), geometry validation, regions
+# freed on close, a lost last ack retried without a goroutine, and no
+# goroutine held per idle connection.
+echo "== ring transport gates (-race) =="
+go test -race -run '^TestRing|^TestLargeMessagesFragmented$|^TestManyMessagesOrdered$|^TestCloseUnblocksRecv$|^TestSenderMayReuseBuffer$|^TestSendRecvAllTransports$' ./internal/transport/
+
 # Observability gates: the Prometheus encoder golden file, the live obs
 # endpoint, and the metrics/trace/step-books consistency suite (including
 # its recovery-rebuild variant) must hold under the race detector.
@@ -136,5 +144,6 @@ go test -run=NONE -fuzz='^FuzzHistogramRecord$' -fuzztime="$FUZZTIME" ./internal
 go test -run=NONE -fuzz='^FuzzUnmarshalBucketDesc$' -fuzztime="$FUZZTIME" ./internal/comm/
 go test -run=NONE -fuzz='^FuzzUnmarshalShardMap$' -fuzztime="$FUZZTIME" ./internal/comm/
 go test -run=NONE -fuzz='^FuzzAxpy4$' -fuzztime="$FUZZTIME" ./internal/tensor/
+go test -run=NONE -fuzz='^FuzzUnmarshalRingHello$' -fuzztime="$FUZZTIME" ./internal/transport/
 
 echo "verify: OK"
