@@ -294,8 +294,8 @@ func run(kind distributed.Kind, topology string, bucketBytes, psShards, aggGroup
 	}
 	if recov != nil {
 		rs := recov.Metrics()
-		fmt.Printf("recovery: heartbeats=%d missed=%d expiries=%d checkpoints=%d rollbacks=%d recoveries=%d rejoins=%d\n",
-			rs.Heartbeats, rs.MissedBeats, rs.LeaseExpiries, rs.Checkpoints, rs.Rollbacks, rs.Recoveries, rs.Rejoins)
+		fmt.Printf("recovery: heartbeats=%d missed=%d expiries=%d false_suspicions=%d checkpoints=%d rollbacks=%d recoveries=%d rejoins=%d\n",
+			rs.Heartbeats, rs.MissedBeats, rs.LeaseExpiries, rs.FalseSuspicions, rs.Checkpoints, rs.Rollbacks, rs.Recoveries, rs.Rejoins)
 	}
 
 	fmt.Println("\nstep-time breakdown:")

@@ -279,3 +279,43 @@ func TestTracingDisabledNeverPromotes(t *testing.T) {
 		t.Error("disabled policy promoted an allocation")
 	}
 }
+
+// TestTracingRecyclableSites: with promotion on, the tracing iteration and
+// every hot site go through Alloc; a cold site is recyclable from
+// iteration 1 on, which also advances the iteration cursor so old arena
+// buffers are still freed when the hot sites' allocations stop coming.
+// With promotion off every site is recyclable.
+func TestTracingRecyclableSites(t *testing.T) {
+	arena := alloc.NewArena(make([]byte, 1<<12))
+	p := NewTracingPolicy(arena, true)
+	n := mkNode(t, "mixed")
+	if p.Recyclable(n, 0, 1) {
+		t.Error("tracing iteration recyclable: sites would go unrecorded")
+	}
+	t0, _ := p.Alloc(n, 0, 0, tensor.Float32, tensor.Shape{64})
+	p.NoteTransfer(t0, "mixed")
+	if p.Recyclable(n, 1, 0) {
+		t.Error("hot site recyclable: its arena placement would be bypassed")
+	}
+	if !p.Recyclable(n, 1, 1) {
+		t.Error("cold site not recyclable at iteration 1")
+	}
+	if _, err := p.Alloc(n, 1, 0, tensor.Float32, tensor.Shape{64}); err != nil {
+		t.Fatal(err)
+	}
+	if got := arena.Stats().InUse; got == 0 {
+		t.Fatal("hot site did not allocate from the arena")
+	}
+	// Only cold sites allocate from here on; the cursor still moves.
+	p.Recyclable(n, 3, 1)
+	if got := arena.Stats().InUse; got != 0 {
+		t.Errorf("arena holds %d bytes two iterations later, want 0", got)
+	}
+
+	off := NewTracingPolicy(arena, false)
+	for iter := 0; iter < 3; iter++ {
+		if !off.Recyclable(n, iter, 0) {
+			t.Errorf("promotion off: site not recyclable at iteration %d", iter)
+		}
+	}
+}

@@ -31,10 +31,13 @@ type site struct {
 //	per-edge staging slot for statically placed edges (so the producing
 //	kernel writes directly into the to-be-transferred buffer), or into the
 //	RDMA-registered arena for dynamic edges (so the one-sided read needs no
-//	sender copy). Everything else stays on the heap.
+//	sender copy). Everything else stays on the heap, and the executor
+//	recycles those cold sites' tensors from one iteration to the next
+//	(Recyclable): after the first mini-batch every allocation repeats.
 //
 // Setting Enabled to false disables the promotion entirely, producing the
-// RDMA.cp ablation of §5.1/Figure 12 (every transfer needs a sender copy).
+// RDMA.cp ablation of §5.1/Figure 12 (every transfer needs a sender copy);
+// then every site is cold from iteration 0 on.
 type TracingPolicy struct {
 	mu sync.Mutex
 
@@ -110,6 +113,26 @@ func (p *TracingPolicy) Alloc(node *graph.Node, iter, allocIdx int, dt tensor.DT
 	p.bufOf[t] = buf
 	p.byIter[iter] = append(p.byIter[iter], arenaEntry{buf: buf, t: t})
 	return t, nil
+}
+
+// Recyclable implements exec.AllocPolicy. The tracing iteration must see
+// every allocation to record its site, and a hot site's tensor is a staging
+// slot or an arena buffer the policy places itself, so only cold sites from
+// iteration 1 on — or every site when promotion is off — are recycled.
+func (p *TracingPolicy) Recyclable(node *graph.Node, iter, allocIdx int) bool {
+	if !p.enabled {
+		return true
+	}
+	if iter == 0 {
+		return false
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if iter != p.curIter {
+		p.advanceLocked(iter)
+	}
+	_, isHot := p.hot[site{nodeID: node.ID(), allocIdx: allocIdx}]
+	return !isHot
 }
 
 // advanceLocked moves the iteration cursor, releasing arena buffers that

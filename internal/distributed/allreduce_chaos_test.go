@@ -286,8 +286,11 @@ func ringRecoveryRun(t *testing.T, crashTask string) (map[int]float32, map[strin
 // one.
 func TestRecoveryRingCrashBitIdentical(t *testing.T) {
 	cleanLosses, cleanVars, cleanRS := ringRecoveryRun(t, "")
-	if cleanRS.LeaseExpiries != 0 || cleanRS.Recoveries != 0 {
-		t.Fatalf("clean run saw expiries=%d recoveries=%d", cleanRS.LeaseExpiries, cleanRS.Recoveries)
+	// A loaded host may stall a lease ping; recovery refutes that expiry
+	// and replays, but nothing in the clean run may be taken for a crash.
+	if cleanRS.Rejoins != 0 || cleanRS.LeaseExpiries != cleanRS.FalseSuspicions {
+		t.Fatalf("clean run saw a crash: expiries=%d (refuted %d) rejoins=%d",
+			cleanRS.LeaseExpiries, cleanRS.FalseSuspicions, cleanRS.Rejoins)
 	}
 
 	losses, vars, rs := ringRecoveryRun(t, "worker1")

@@ -136,7 +136,7 @@ func TestEnvFailPendingReleasesStagedWaiter(t *testing.T) {
 // A push queued by a dead iteration must be discarded by the receiver's
 // poll, not delivered to (or poison) the live iteration.
 func TestRPCRecvDiscardsStalePush(t *testing.T) {
-	env := newEnv("worker0", GRPCTCP, nil, &metrics.Comm{}, nil, nil)
+	env := newEnv("worker0", GRPCTCP, nil, &metrics.Comm{}, rdma.TransferOpts{}, nil, nil)
 	mb := env.mailbox("edge")
 	op := &rpcRecvOp{spec: analyzer.EdgeSpec{Key: "edge", Sig: graph.Static(tensor.Float32, 1)}}
 	ctx := &graph.Context{Iter: 1, Env: env} // live iteration expects seq 2
@@ -189,7 +189,7 @@ func TestRPCSendSkipsPushWhenCanceled(t *testing.T) {
 	}
 	defer client.Close()
 
-	env := newEnv("worker0", GRPCTCP, nil, &metrics.Comm{}, nil, nil)
+	env := newEnv("worker0", GRPCTCP, nil, &metrics.Comm{}, rdma.TransferOpts{}, nil, nil)
 	env.rpcClients["ps0"] = client
 	spec := analyzer.EdgeSpec{Key: "edge", DstTask: "ps0", Sig: graph.Static(tensor.Float32, 1)}
 	op := &rpcSendOp{spec: spec}

@@ -240,8 +240,7 @@ func (c *Cluster) newServer(task string) (*Server, error) {
 		Hists:    hists,
 		descs:    make(map[string][]byte),
 	}
-	srv.Env = newEnv(task, c.cfg.Kind, policy, m, arena, arenaMR)
-	srv.Env.Xfer = c.cfg.Transfer
+	srv.Env = newEnv(task, c.cfg.Kind, policy, m, c.cfg.Transfer, arena, arenaMR)
 	srv.Env.Hists = hists
 	if c.cfg.QPSlots > 0 {
 		mux, err := rdma.NewQPMux(dev, c.cfg.QPSlots, c.muxLanes())
@@ -478,7 +477,7 @@ func (c *Cluster) setupRecvEdge(dst *Server, e analyzer.EdgeSpec) error {
 		}
 	}
 	dst.Env.mu.Lock()
-	dst.Env.dynRecv[e.Key] = &dynRecvState{spec: e, recv: recv}
+	dst.Env.dynRecv[e.Key] = &dynRecvState{spec: e, opts: dst.Env.edgeOpts(e.Key), recv: recv}
 	dst.Env.mu.Unlock()
 	dst.putDesc(e.Key, recv.Desc().Marshal())
 	return nil
@@ -527,7 +526,7 @@ func (c *Cluster) setupSendEdge(src *Server, e analyzer.EdgeSpec) error {
 				}
 			}
 		}
-		st := &staticSendState{spec: e, slot: slot, sender: sender}
+		st := &staticSendState{spec: e, slot: slot, sender: sender, opts: src.Env.edgeOpts(e.Key)}
 		if c.cfg.LossyFabric {
 			ls, err := rdma.NewLossySender(sender, edgeTensorID(e.Key))
 			if err != nil {
@@ -565,7 +564,7 @@ func (c *Cluster) setupSendEdge(src *Server, e analyzer.EdgeSpec) error {
 		sender.SetLaneSource(src.Mux)
 	}
 	src.Env.mu.Lock()
-	src.Env.dynSend[e.Key] = &dynSendState{spec: e, sender: sender, dev: src.Dev}
+	src.Env.dynSend[e.Key] = &dynSendState{spec: e, opts: src.Env.edgeOpts(e.Key), sender: sender, dev: src.Dev}
 	src.Env.mu.Unlock()
 	if err := pushBack(ch, e.Key, sender.ScratchDesc()); err != nil {
 		return fmt.Errorf("edge %s: %w", e.Key, err)
@@ -643,7 +642,7 @@ func (c *Cluster) setupCoalSendGroup(src *Server, p *coalPlan) error {
 	if src.Mux != nil {
 		sender.SetLaneSource(src.Mux)
 	}
-	g := &coalSendGroup{key: p.key, sender: sender, members: len(p.members)}
+	g := &coalSendGroup{key: p.key, sender: sender, members: len(p.members), opts: src.Env.edgeOpts(p.key)}
 	src.Env.mu.Lock()
 	src.Env.coalSendGroups[p.key] = g
 	for id, e := range p.members {

@@ -40,6 +40,9 @@ type Env struct {
 	// Xfer bounds every edge transfer (deadline, retry budget, backoff).
 	// The zero value selects the rdma package defaults.
 	Xfer rdma.TransferOpts
+	// opts is Xfer with the metrics hooks wired in, built once; per-edge
+	// copies add the edge's completion hook at edge setup.
+	opts rdma.TransferOpts
 
 	arena   *alloc.Arena
 	arenaMR *rdma.MemRegion
@@ -62,9 +65,9 @@ type Env struct {
 }
 
 func newEnv(task string, kind Kind, pol *analyzer.TracingPolicy, m *metrics.Comm,
-	arena *alloc.Arena, arenaMR *rdma.MemRegion) *Env {
-	return &Env{
-		Task: task, Kind: kind, Policy: pol, Metrics: m,
+	xfer rdma.TransferOpts, arena *alloc.Arena, arenaMR *rdma.MemRegion) *Env {
+	e := &Env{
+		Task: task, Kind: kind, Policy: pol, Metrics: m, Xfer: xfer,
 		arena: arena, arenaMR: arenaMR,
 		staticSend: make(map[string]*staticSendState),
 		staticRecv: make(map[string]*staticRecvState),
@@ -79,6 +82,14 @@ func newEnv(task string, kind Kind, pol *analyzer.TracingPolicy, m *metrics.Comm
 		coalSendEdges:  make(map[string]*coalSendEdge),
 		coalRecvEdges:  make(map[string]*coalRecvEdge),
 	}
+	// The hooks read e.Metrics at call time: a restarted task's Env takes
+	// over its predecessor's counters after construction.
+	e.opts = xfer
+	e.opts.OnRetry = func(error) { e.Metrics.AddRetry() }
+	e.opts.OnStripe = func(lane, n int) { e.Metrics.AddStripe(lane, n) }
+	e.opts.OnDoorbell = func(lane, chunks int) { e.Metrics.AddDoorbellFlush() }
+	e.opts.OnRetransmit = func(chunks int) { e.Metrics.AddRetransmit(chunks) }
+	return e
 }
 
 // coalSendGroup is the sender side of one peer pair's coalesced batch: all
@@ -89,7 +100,8 @@ func newEnv(task string, kind Kind, pol *analyzer.TracingPolicy, m *metrics.Comm
 type coalSendGroup struct {
 	key     string
 	sender  *rdma.CoalescedSender
-	members int // sub-messages per full batch
+	members int               // sub-messages per full batch
+	opts    rdma.TransferOpts // Env.edgeOpts(key)
 
 	mu      sync.Mutex
 	iter    int // iteration the staged batch belongs to
@@ -191,6 +203,7 @@ type staticSendState struct {
 	spec   analyzer.EdgeSpec
 	slot   *stagingSlot
 	sender staticSender
+	opts   rdma.TransferOpts // Env.edgeOpts(spec.Key)
 }
 
 type staticRecvState struct {
@@ -200,6 +213,7 @@ type staticRecvState struct {
 
 type dynSendState struct {
 	spec    analyzer.EdgeSpec
+	opts    rdma.TransferOpts // Env.edgeOpts(spec.Key)
 	sender  *rdma.DynSender
 	dev     *rdma.Device
 	scratch *rdma.MemRegion // copy fallback payload area, grown on demand
@@ -207,6 +221,7 @@ type dynSendState struct {
 
 type dynRecvState struct {
 	spec          analyzer.EdgeSpec
+	opts          rdma.TransferOpts // Env.edgeOpts(spec.Key)
 	recv          *rdma.DynReceiver
 	senderScratch rdma.DynSlotDesc
 
@@ -271,21 +286,11 @@ func (mb *mailbox) takeStash() (mailboxItem, bool) {
 	return item, ok
 }
 
-// xferOpts returns the server's transfer bounds with the retry, per-lane
-// stripe, and doorbell-flush counters wired into the metrics sink.
-func (e *Env) xferOpts() rdma.TransferOpts {
-	o := e.Xfer
-	o.OnRetry = func(error) { e.Metrics.AddRetry() }
-	o.OnStripe = func(lane, n int) { e.Metrics.AddStripe(lane, n) }
-	o.OnDoorbell = func(lane, chunks int) { e.Metrics.AddDoorbellFlush() }
-	o.OnRetransmit = func(chunks int) { e.Metrics.AddRetransmit(chunks) }
-	return o
-}
-
-// xferOptsFor is xferOpts with the edge's transfer-latency histogram wired
-// into the completion hook.
-func (e *Env) xferOptsFor(key string) rdma.TransferOpts {
-	o := e.xferOpts()
+// edgeOpts returns the server's transfer opts with the edge's
+// transfer-latency histogram wired into the completion hook. Edge setup
+// calls it once per edge and keeps the result on the edge state.
+func (e *Env) edgeOpts(key string) rdma.TransferOpts {
+	o := e.opts
 	if e.Hists != nil {
 		h := e.Hists.Family(metrics.HistEdgeXferNs).With(key)
 		o.OnComplete = func(bytes int, d time.Duration) { h.Record(d.Nanoseconds()) }

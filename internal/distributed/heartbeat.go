@@ -174,6 +174,32 @@ func (d *heartbeatDetector) suspend(task string) {
 	d.suspended[task] = true
 }
 
+// suspendRefuted suspends every expired lease whose task is not in dead —
+// the device is alive, so the expiry was a stalled ping, not a crash — and
+// returns those tasks. Like a dead task's lease, each stays suspended while
+// recovery rebuilds the cluster, and resume grants it afresh.
+func (d *heartbeatDetector) suspendRefuted(dead []string) []string {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	var refuted []string
+	for task, ex := range d.expired {
+		if ex && !d.suspended[task] && !contains(dead, task) {
+			d.suspended[task] = true
+			refuted = append(refuted, task)
+		}
+	}
+	return refuted
+}
+
+func contains(list []string, s string) bool {
+	for _, x := range list {
+		if x == s {
+			return true
+		}
+	}
+	return false
+}
+
 // resume restores a task's lease with a fresh grant.
 func (d *heartbeatDetector) resume(task string) {
 	d.mu.Lock()

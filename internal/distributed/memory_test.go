@@ -1,6 +1,8 @@
 package distributed
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
@@ -106,6 +108,94 @@ func TestRebuildEdgesKeepsRegionCount(t *testing.T) {
 	for task, n := range counts() {
 		if n != before[task] {
 			t.Errorf("%s: %d regions after %d rebuilds, %d before", task, n, rounds, before[task])
+		}
+	}
+}
+
+// TestSteadyStatePSStepAllocations: §3.4's premise is that after the first
+// mini-batch every allocation repeats. Past the tracing iteration and one
+// warm-up, a 2-worker PS step recycles every cold output and writes every
+// hot one into its staging slot, so its heap allocation stays under a fixed
+// bound far below the model's gradient bytes — while the tracing policy
+// still promotes the same sites, the same transfers go zero-copy, and the
+// ps and ring planes still agree to the bit.
+func TestSteadyStatePSStepAllocations(t *testing.T) {
+	const warm, steps = 3, 20
+	// Without recycling a step allocated ~800 KB (activations and
+	// gradients); what remains is per-transfer bookkeeping, ~24 KB.
+	const bytesPerStepBound = 128 << 10
+	mcfg := MLPConfig{Workers: 2, PSCount: 1, Batch: 16, In: 256, Hidden: 256, Classes: 16, LR: 0.1, Topology: "ps"}
+	job, err := BuildMLPTraining(mcfg, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := Launch(job.Builder, rdmaTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := job.InitAll(cl); err != nil {
+		t.Fatal(err)
+	}
+	feeds := job.SyntheticDataset(7)
+	fetches := make(map[string][]string)
+	for k, task := range job.WorkerTasks {
+		fetches[task] = []string{job.LossName(k)}
+	}
+	var losses []float32
+	step := func(iter int) {
+		out, err := cl.Step(iter, feeds, fetches)
+		if err != nil {
+			t.Fatalf("ps step %d: %v", iter, err)
+		}
+		var sum float32
+		for k, task := range job.WorkerTasks {
+			sum += out[task][job.LossName(k)].Float32s()[0]
+		}
+		losses = append(losses, sum/float32(len(job.WorkerTasks)))
+	}
+	zeroCopy := func() (n int64) {
+		for _, s := range cl.MetricsSnapshot() {
+			n += s.ZeroCopyOps
+		}
+		return n
+	}
+	for iter := 0; iter < warm; iter++ {
+		step(iter)
+	}
+	zc0 := zeroCopy()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for iter := warm; iter < warm+steps; iter++ {
+		step(iter)
+	}
+	runtime.ReadMemStats(&m1)
+	perStep := (m1.TotalAlloc - m0.TotalAlloc) / steps
+	t.Logf("steady-state PS step: %d B, %d objects allocated", perStep, (m1.Mallocs-m0.Mallocs)/steps)
+	if perStep > bytesPerStepBound {
+		t.Errorf("steady-state PS step allocates %d B, want <= %d", perStep, bytesPerStepBound)
+	}
+
+	// Recycling must not change placement: tracing promotes the four
+	// gradient sites of each worker, and all 16 sends of a step (8 gradients
+	// up, 8 staged variables down) leave their staging slots without a copy.
+	hot := 0
+	for _, srv := range cl.serversSnapshot() {
+		hot += srv.Policy.HotSites()
+	}
+	if hot != 8 {
+		t.Errorf("tracing promoted %d allocation sites, want 8", hot)
+	}
+	if got := (zeroCopy() - zc0) / steps; got != 16 {
+		t.Errorf("%d zero-copy sends per step, want 16", got)
+	}
+
+	ring := mcfg
+	ring.Topology = "ring"
+	ringLosses, _ := runMLPTopology(t, ring, rdmaTestConfig(), warm+steps)
+	for i := range losses {
+		if math.Float32bits(losses[i]) != math.Float32bits(ringLosses[i]) {
+			t.Fatalf("step %d: ps loss %v, ring loss %v", i, losses[i], ringLosses[i])
 		}
 	}
 }

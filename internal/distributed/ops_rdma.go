@@ -86,7 +86,7 @@ func (op *rdmaSendOp) ComputeAsync(ctx *graph.Context, done func(error)) {
 	// from a backoff timer, so no goroutine waits on the wire. The cancel
 	// flag rides along so the retry dies with the run — a re-send landing
 	// after an abort would clobber the receiver's slot mid-recovery.
-	opts := env.xferOptsFor(op.spec.Key)
+	opts := st.opts
 	opts.Canceled = ctx.Canceled
 	st.sender.SendRetryFromAsync(payload, opts, func(err error) {
 		complete(env.edgeErr(op.spec.Key, err))
@@ -217,7 +217,7 @@ func (op *rdmaSendDynOp) ComputeAsync(ctx *graph.Context, done func(error)) {
 	// Retried from its completions like rdmaSendOp's send. ErrBusy from a
 	// not-yet-acked previous transfer is also retried: the ack may just be
 	// in flight behind an injected delay.
-	opts := env.xferOptsFor(op.spec.Key)
+	opts := st.opts
 	opts.Canceled = ctx.Canceled
 	st.sender.SendRetryAsync(payloadMR, payloadOff, size, dt, dims, opts, func(err error) {
 		done(env.edgeErr(op.spec.Key, err))
@@ -307,7 +307,7 @@ func (op *rdmaRecvDynOp) ComputeAsync(ctx *graph.Context, done func(error)) {
 	st.mu.Unlock()
 	// done fires once the payload read AND the reuse ack completed, each
 	// retried within the budget from its own completions and timers.
-	opts := env.xferOptsFor(op.spec.Key)
+	opts := st.opts
 	opts.Canceled = ctx.Canceled
 	st.recv.FetchRetryAsync(meta, scratch, env.arenaMR, buf.Off, opts, func(err error) {
 		if err == nil {

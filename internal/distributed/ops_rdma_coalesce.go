@@ -58,7 +58,7 @@ func (op *coalescedSendOp) ComputeAsync(ctx *graph.Context, done func(error)) {
 	// Every stager of one batch belongs to the same iteration (the g.iter
 	// guard resets stale batches), so the last stager's cancel flag covers
 	// the whole flush.
-	opts := env.xferOptsFor(g.key)
+	opts := g.opts
 	opts.Canceled = ctx.Canceled
 	go func() {
 		g.mu.Lock()
@@ -179,7 +179,7 @@ func (op *coalescedRecvOp) Poll(ctx *graph.Context) (bool, error) {
 	// step abort would set ackErr — which is never cleared — and poison the
 	// group forever on a healthy fabric; a genuinely dead fabric is still
 	// bounded by the transfer deadline in ackOpts.
-	ackOpts := env.xferOpts()
+	ackOpts := env.opts
 	go func() {
 		if err := g.recv.AckRetry(ack, ackOpts); err != nil {
 			g.mu.Lock()

@@ -63,6 +63,11 @@ type Recovery struct {
 	mu       sync.Mutex
 	snaps    map[string][]byte // per-task VarStore snapshot at ckptIter
 	ckptIter int
+
+	// refutedSinceStep is set by a recovery round that refuted a lease
+	// suspicion and cleared by the next completed step (Run's goroutine
+	// only).
+	refutedSinceStep bool
 }
 
 // EnableRecovery starts the heartbeat detector and returns the recovery
@@ -132,6 +137,7 @@ func (r *Recovery) Run(iters int, feeds map[string]map[string]*tensor.Tensor,
 			iter = resumeIter
 			continue
 		}
+		r.refutedSinceStep = false
 		if onStep != nil {
 			onStep(iter, out)
 		}
@@ -182,12 +188,30 @@ func recoverableStepError(err error) bool {
 func (r *Recovery) recover(cause error) (int, error) {
 	// 1. Stop everything still running against the dead incarnation.
 	r.c.abortAll(cause)
-	// 2. Identify the crashed tasks: their devices are closed. A step that
-	// failed with every device alive (e.g. a never-healing partition between
-	// live tasks) is not a crash and recovery cannot fix it.
+	// 2. Identify the crashed tasks: their devices are closed. An expired
+	// lease whose device is alive is a refuted suspicion — a lease ping
+	// stalled past the timeout (a loaded host), not a crash — so the
+	// cluster replays from the checkpoint as after a crash, minus the
+	// restart, and the lease resumes with the replay. A step that failed
+	// with every device alive and no lease expired (e.g. a never-healing
+	// partition between live tasks) is not a crash and recovery cannot fix
+	// it; nor is a second refuted suspicion before any step completed.
 	dead := r.c.deadTasks()
+	refuted := r.det.suspendRefuted(dead)
+	for range refuted {
+		r.met.AddFalseSuspicion()
+	}
 	if len(dead) == 0 {
-		return 0, fmt.Errorf("%w: step failed (%v) but every device is alive — not a crash", ErrSetup, cause)
+		if len(refuted) == 0 {
+			return 0, fmt.Errorf("%w: step failed (%v) but every device is alive — not a crash", ErrSetup, cause)
+		}
+		if r.refutedSinceStep {
+			for _, task := range refuted {
+				r.det.resume(task)
+			}
+			return 0, fmt.Errorf("%w: step failed (%v) after a refuted lease suspicion with no step completed since — not a crash", ErrSetup, cause)
+		}
+		r.refutedSinceStep = true
 	}
 	// 3. The lease detector must agree within its configured timeout — the
 	// data plane often notices first (a send fails in microseconds), but
@@ -235,7 +259,7 @@ func (r *Recovery) recover(cause error) (int, error) {
 	}
 	r.met.AddRollback()
 	// 7. Leases resume; the loop replays from the checkpoint.
-	for _, task := range dead {
+	for _, task := range append(dead, refuted...) {
 		r.det.resume(task)
 	}
 	r.met.AddRecovery()

@@ -76,6 +76,12 @@ func benchStep(b *testing.B, e *Executor) {
 	}
 }
 
+// freshHeapPolicy is HeapPolicy without recycling: every allocation is a
+// new heap tensor, the baseline BenchmarkTrainStep compares against.
+type freshHeapPolicy struct{ HeapPolicy }
+
+func (freshHeapPolicy) Recyclable(*graph.Node, int, int) bool { return false }
+
 // BenchmarkTrainStep measures a full forward+backward+SGD iteration of a
 // small conv classifier, with and without output-tensor recycling. Run with
 // -benchmem: the recycle=on steady state should allocate materially fewer
@@ -87,7 +93,11 @@ func BenchmarkTrainStep(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			e, err := New(g, Config{Vars: store, DisableRecycle: !recycle})
+			var policy AllocPolicy = HeapPolicy{}
+			if !recycle {
+				policy = freshHeapPolicy{}
+			}
+			e, err := New(g, Config{Vars: store, Policy: policy})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -51,9 +51,6 @@ type Config struct {
 	// Zero leaves the pool at its GOMAXPROCS default. The pool is shared by
 	// every executor in the process; results are bit-identical at any size.
 	KernelWorkers int
-	// DisableRecycle turns off iteration-scoped output-tensor reuse even
-	// when the alloc policy permits it (the Recycler marker).
-	DisableRecycle bool
 	// Trace, when non-nil, records one duration event per operator
 	// execution (chrome trace-event format).
 	Trace *trace.Recorder
@@ -79,14 +76,42 @@ type Executor struct {
 	consume [][]*graph.Node
 	indeg   []int
 	stats   *statsTable
-	recycle *recycler // nil unless the policy opted in
+	ctxs    []*nodeCtx // by node id; nil outside the partition
 
 	pollWaitHist  *metrics.Histogram // nil unless cfg.Hists is set
 	pollBatchHist *metrics.Histogram // nil unless cfg.Hists is set
 
+	// iterMu is held by Run for a whole iteration: the node contexts and
+	// the run buffers below belong to the executor, not to one run, so
+	// concurrent Run calls take turns.
+	iterMu    sync.Mutex
+	readyBuf  []*graph.Node    // ready-queue backing, cap len(nodes)
+	remaining []int            // by node id
+	values    []*tensor.Tensor // by node id
+	scratch   []pollScratch    // by worker
+	fetched   []*tensor.Tensor
+
 	runMu   sync.Mutex
 	current *runState // in-flight iteration, abortable from outside
 	lastRun metrics.StepBreakdown
+}
+
+// nodeCtx is one partition node's execution context, built once per
+// executor: Run resets the per-iteration fields, dispatch binds the inputs,
+// and the Alloc closure is the method value of alloc. prev/cur hold the
+// node's recyclable outputs by alloc index (recycle.go).
+type nodeCtx struct {
+	graph.Context
+	policy   AllocPolicy
+	allocIdx int
+	prev     []*tensor.Tensor // survivors of the previous iteration
+	cur      []*tensor.Tensor // this iteration's recyclable allocations
+}
+
+// pollScratch is one worker's poll-pass scratch, reused across passes and
+// runs.
+type pollScratch struct {
+	batch, ready, waiting []*graph.Node
 }
 
 // New validates the partition and builds an executor. Every input of a
@@ -118,6 +143,11 @@ func New(g *graph.Graph, cfg Config) (*Executor, error) {
 		consume: make([][]*graph.Node, len(all)),
 		indeg:   make([]int, len(all)),
 		stats:   newStatsTable(cfg.Hists),
+		ctxs:    make([]*nodeCtx, len(all)),
+
+		remaining: make([]int, len(all)),
+		values:    make([]*tensor.Tensor, len(all)),
+		scratch:   make([]pollScratch, cfg.Workers),
 	}
 	if cfg.Hists != nil {
 		e.pollWaitHist = cfg.Hists.Hist(metrics.HistPollWaitNs)
@@ -149,8 +179,22 @@ func New(g *graph.Graph, cfg Config) (*Executor, error) {
 		}
 		e.indeg[n.ID()] = deps
 	}
-	if r, ok := cfg.Policy.(Recycler); ok && r.AllowRecycle() && !cfg.DisableRecycle {
-		e.recycle = newRecycler()
+	for _, n := range e.nodes {
+		nc := &nodeCtx{policy: cfg.Policy}
+		nc.Node = n
+		nc.Inputs = make([]*tensor.Tensor, len(n.Inputs()))
+		nc.Vars = cfg.Vars
+		nc.Env = cfg.Env
+		nc.Alloc = nc.alloc
+		e.ctxs[n.ID()] = nc
+	}
+	e.readyBuf = make([]*graph.Node, 0, len(e.nodes))
+	for w := range e.scratch {
+		e.scratch[w] = pollScratch{
+			batch:   make([]*graph.Node, 0, pollBatchMax),
+			ready:   make([]*graph.Node, 0, pollBatchMax),
+			waiting: make([]*graph.Node, 0, pollBatchMax),
+		}
 	}
 	return e, nil
 }
@@ -206,10 +250,13 @@ type runState struct {
 	e     *Executor
 	iter  int
 	feeds map[string]*tensor.Tensor
+	// spanArgs is the trace-span metadata every operator span of the run
+	// shares (read-only once built; nil when tracing is off).
+	spanArgs map[string]any
 
 	mu         sync.Mutex
-	cond       *sync.Cond
-	queue      []*graph.Node
+	cond       sync.Cond
+	queue      readyQueue
 	remaining  []int
 	values     []*tensor.Tensor
 	pending    int // nodes not yet completed
@@ -227,6 +274,35 @@ type runState struct {
 	// worker already exited while a sibling finished its last backoff sleep
 	// or in-flight transfer — as Idle.
 	lifeNs int64
+}
+
+// readyQueue is the FIFO ready queue over a head-indexed buffer sized to
+// the partition. A node is queued at most once at a time, so after a
+// compaction there is always room: pops and pushes never reallocate.
+type readyQueue struct {
+	buf  []*graph.Node
+	head int
+}
+
+func (q *readyQueue) len() int { return len(q.buf) - q.head }
+
+func (q *readyQueue) push(n *graph.Node) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 {
+		live := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[live:])
+		q.buf, q.head = q.buf[:live], 0
+	}
+	q.buf = append(q.buf, n)
+}
+
+func (q *readyQueue) pop() *graph.Node {
+	n := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return n
 }
 
 // foldAcct accumulates one worker's lap totals and loop lifetime into the
@@ -253,19 +329,27 @@ func isPollingNode(n *graph.Node) bool {
 }
 
 // Pure-polling backoff: when the ready queue holds only not-ready polling
-// operators, a worker first spins through a short miss budget (data usually
-// arrives within microseconds), then sleeps with the duration doubling up to
-// a cap. The polled flags are written remotely by one-sided RDMA, so the
-// sleep delays only this worker's next poll — it cannot delay the data —
-// and the FIFO requeue keeps multiple starved pollers taking turns at the
-// queue head instead of one monopolizing the misses.
+// operators, a worker first spins through a miss budget (data usually
+// arrives within tens to hundreds of microseconds), then sleeps with the
+// duration doubling up to a cap. The polled flags are written remotely by
+// one-sided RDMA, so the sleep delays only this worker's next poll — it
+// cannot delay the data — and the FIFO requeue keeps multiple starved
+// pollers taking turns at the queue head instead of one monopolizing the
+// misses.
+//
+// The budget is counted in poll passes, so it must last about as long in
+// wall time as data takes to land: the first sleep, however short it asks
+// to be, costs about a millisecond in an otherwise idle Go process (the
+// runtime's netpoller rounds sub-millisecond waits up to 1 ms). 64 passes
+// of the allocation-free poll loop span roughly what 16 passes of the
+// older, allocating loop did; see DESIGN §11.
 //
 // pollBatchMax caps the batched completion scan: when a worker pops a
 // polling operator it drains every other queued polling operator (up to the
 // cap) in the same lock acquisition and polls the whole set in one pass, so
 // N starved receives cost one queue round-trip instead of N.
 const (
-	pollSpinBudget  = 16
+	pollSpinBudget  = 64
 	pollBackoffMin  = 5 * time.Microsecond
 	pollBackoffMax  = time.Millisecond
 	pollBackoffExpo = 8 // doublings until the cap is pinned
@@ -306,6 +390,24 @@ func (st *runState) canceled() bool {
 	return st.err != nil
 }
 
+// enqueueLocked appends a ready node to the queue tail.
+func (st *runState) enqueueLocked(n *graph.Node) {
+	st.queue.push(n)
+	if !isPollingNode(n) {
+		st.nonPolling++
+	}
+}
+
+// dispatchLocked marks a node popped from the queue in flight and binds its
+// context's inputs to the producers' outputs.
+func (st *runState) dispatchLocked(n *graph.Node) {
+	st.inflight++
+	inputs := st.e.ctxs[n.ID()].Inputs
+	for i, in := range n.Inputs() {
+		inputs[i] = st.values[in.ID()]
+	}
+}
+
 // complete records a node's output and readies its consumers. It is safe to
 // call from async completion callbacks (CQ poller goroutines).
 func (st *runState) complete(n *graph.Node, out *tensor.Tensor, err error) {
@@ -325,10 +427,7 @@ func (st *runState) complete(n *graph.Node, out *tensor.Tensor, err error) {
 	for _, c := range st.e.consume[n.ID()] {
 		st.remaining[c.ID()]--
 		if st.remaining[c.ID()] == 0 {
-			st.queue = append(st.queue, c)
-			if !isPollingNode(c) {
-				st.nonPolling++
-			}
+			st.enqueueLocked(c)
 		}
 	}
 	st.cond.Broadcast()
@@ -343,13 +442,12 @@ func (st *runState) next() (*graph.Node, bool) {
 		if st.err != nil || st.pending == 0 {
 			return nil, false
 		}
-		if len(st.queue) > 0 {
-			n := st.queue[0]
-			st.queue = st.queue[1:]
-			st.inflight++
+		if st.queue.len() > 0 {
+			n := st.queue.pop()
 			if !isPollingNode(n) {
 				st.nonPolling--
 			}
+			st.dispatchLocked(n)
 			return n, true
 		}
 		if st.inflight == 0 {
@@ -362,32 +460,31 @@ func (st *runState) next() (*graph.Node, bool) {
 	}
 }
 
-// grabPollBatch extracts up to max additional polling operators from the
-// ready queue in one lock acquisition, marking each in flight. Non-polling
-// nodes keep their relative order (and nonPolling count); only polling
-// operators are pulled, so the batch poll below scans the whole starved set
-// in one pass instead of cycling them through the queue one at a time.
-func (st *runState) grabPollBatch(max int) []*graph.Node {
+// grabPollBatch moves up to max queued polling operators onto batch in one
+// lock acquisition, dispatching each. Non-polling nodes keep their relative
+// order (and nonPolling count); only polling operators are pulled, so the
+// batch poll below scans the whole starved set in one pass instead of
+// cycling them through the queue one at a time.
+func (st *runState) grabPollBatch(batch []*graph.Node, max int) []*graph.Node {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if max <= 0 || len(st.queue) == 0 {
-		return nil
+	if max <= 0 || st.queue.len() == 0 {
+		return batch
 	}
-	var batch []*graph.Node
-	kept := st.queue[:0]
-	for _, n := range st.queue {
-		if len(batch) < max && isPollingNode(n) {
+	live := st.queue.buf[st.queue.head:]
+	kept := live[:0]
+	grabbed := 0
+	for _, n := range live {
+		if grabbed < max && isPollingNode(n) {
 			batch = append(batch, n)
-			st.inflight++
+			st.dispatchLocked(n)
+			grabbed++
 		} else {
 			kept = append(kept, n)
 		}
 	}
-	tail := st.queue[len(kept):]
-	for i := range tail {
-		tail[i] = nil
-	}
-	st.queue = kept
+	clear(live[len(kept):])
+	st.queue.buf = st.queue.buf[:st.queue.head+len(kept)]
 	return batch
 }
 
@@ -401,13 +498,16 @@ func (st *runState) requeueBatch(nodes []*graph.Node) bool {
 	defer st.mu.Unlock()
 	st.inflight -= len(nodes)
 	hadOther := st.nonPolling > 0
-	st.queue = append(st.queue, nodes...)
+	for _, n := range nodes {
+		st.queue.push(n)
+	}
 	st.cond.Broadcast()
 	return hadOther
 }
 
 // Run executes one iteration of the partition: feeds bind placeholders,
-// fetches name the node outputs to return.
+// fetches name the node outputs to return. Concurrent calls on one
+// executor are serialized.
 func (e *Executor) Run(iter int, feeds map[string]*tensor.Tensor, fetches ...string) (map[string]*tensor.Tensor, error) {
 	if err := e.checkFeeds(feeds); err != nil {
 		return nil, err
@@ -418,22 +518,32 @@ func (e *Executor) Run(iter int, feeds map[string]*tensor.Tensor, fetches ...str
 			return nil, fmt.Errorf("exec: fetch %q: %w", f, ErrFetch)
 		}
 	}
+	e.iterMu.Lock()
+	defer e.iterMu.Unlock()
+	clear(e.readyBuf[:cap(e.readyBuf)])
+	copy(e.remaining, e.indeg)
+	clear(e.values)
 	st := &runState{
 		e:         e,
 		iter:      iter,
 		feeds:     feeds,
-		remaining: append([]int(nil), e.indeg...),
-		values:    make([]*tensor.Tensor, len(e.inPart)),
+		queue:     readyQueue{buf: e.readyBuf[:0]},
+		remaining: e.remaining,
+		values:    e.values,
 		pending:   len(e.nodes),
 		progress:  time.Now(),
 	}
-	st.cond = sync.NewCond(&st.mu)
+	st.cond.L = &st.mu
+	if e.cfg.Trace != nil {
+		st.spanArgs = map[string]any{"iter": iter}
+	}
+	canceled := st.canceled
 	for _, n := range e.nodes {
+		nc := e.ctxs[n.ID()]
+		nc.Iter, nc.Feeds, nc.Canceled = iter, feeds, canceled
+		nc.Output, nc.allocIdx = nil, 0
 		if e.indeg[n.ID()] == 0 {
-			st.queue = append(st.queue, n)
-			if !isPollingNode(n) {
-				st.nonPolling++
-			}
+			st.enqueueLocked(n)
 		}
 	}
 
@@ -446,7 +556,7 @@ func (e *Executor) Run(iter int, feeds map[string]*tensor.Tensor, fetches ...str
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e.worker(st, wallStart)
+			e.worker(st, &e.scratch[w], wallStart)
 		}()
 	}
 	wg.Wait()
@@ -498,23 +608,18 @@ func (e *Executor) Run(iter int, feeds map[string]*tensor.Tensor, fetches ...str
 	err := st.err
 	st.mu.Unlock()
 	if err != nil {
-		if e.recycle != nil {
-			e.recycle.finish(false, nil)
-		}
+		e.finishRecycle(false, nil)
 		return nil, err
 	}
 	out := make(map[string]*tensor.Tensor, len(fetches))
+	e.fetched = e.fetched[:0]
 	for _, f := range fetches {
 		n, _ := e.g.Node(f)
 		out[f] = st.values[n.ID()]
+		e.fetched = append(e.fetched, out[f])
 	}
-	if e.recycle != nil {
-		fetched := make([]*tensor.Tensor, 0, len(out))
-		for _, t := range out {
-			fetched = append(fetched, t)
-		}
-		e.recycle.finish(true, fetched)
-	}
+	e.finishRecycle(true, e.fetched)
+	clear(e.fetched)
 	return out, nil
 }
 
@@ -528,7 +633,7 @@ func (e *Executor) Run(iter int, feeds map[string]*tensor.Tensor, fetches ...str
 // goroutine's first instruction: on a loaded box workers are queued runnable
 // for a while before they first run, and that wait is idle time the step
 // really spent.
-func (e *Executor) worker(st *runState, startAt time.Time) {
+func (e *Executor) worker(st *runState, sc *pollScratch, startAt time.Time) {
 	var acct metrics.StepBreakdown
 	defer func() { st.foldAcct(acct, time.Since(startAt)) }()
 	lap := startAt
@@ -545,8 +650,6 @@ func (e *Executor) worker(st *runState, startAt time.Time) {
 		if !ok {
 			return
 		}
-		ctx := e.newContext(st, n)
-		acct.Idle += tick() // context assembly
 
 		// Polling-async phase 1, batched: when the head is a polling
 		// operator, drain every other queued polling operator (one lock)
@@ -554,27 +657,24 @@ func (e *Executor) worker(st *runState, startAt time.Time) {
 		// together (one lock); hits execute right here. N starved receives
 		// cost one queue round-trip and one backoff decision per pass
 		// instead of N.
-		if _, isPolling := n.Op().(graph.PollingKernel); isPolling {
-			batch := append([]*graph.Node{n}, st.grabPollBatch(pollBatchMax-1)...)
+		if pk, isPolling := n.Op().(graph.PollingKernel); isPolling {
+			batch := st.grabPollBatch(append(sc.batch[:0], n), pollBatchMax-1)
 			e.pollBatchHist.Record(int64(len(batch)))
-			ctxs := make([]*graph.Context, len(batch))
-			ctxs[0] = ctx
-			var ready []int
-			var waiting []*graph.Node
+			ready, waiting := sc.ready[:0], sc.waiting[:0]
 			var pollErr error
 			var errNode *graph.Node
 			for i, pn := range batch {
-				if ctxs[i] == nil {
-					ctxs[i] = e.newContext(st, pn)
+				if i > 0 {
+					pk = pn.Op().(graph.PollingKernel)
 				}
-				hit, err := pn.Op().(graph.PollingKernel).Poll(ctxs[i])
+				hit, err := pk.Poll(&e.ctxs[pn.ID()].Context)
 				if err != nil {
 					errNode, pollErr = pn, err
 					waiting = append(waiting, batch[i+1:]...) // unpolled rest
 					break
 				}
 				if hit {
-					ready = append(ready, i)
+					ready = append(ready, pn)
 				} else {
 					waiting = append(waiting, pn)
 				}
@@ -585,9 +685,7 @@ func (e *Executor) worker(st *runState, startAt time.Time) {
 				// including ready-but-unexecuted hits, which will poll
 				// ready again — goes back so its completion stays owned
 				// by the queue.
-				for _, i := range ready {
-					waiting = append(waiting, batch[i])
-				}
+				waiting = append(waiting, ready...)
 				if len(waiting) > 0 {
 					st.requeueBatch(waiting)
 				}
@@ -604,7 +702,7 @@ func (e *Executor) worker(st *runState, startAt time.Time) {
 					// many other polling operators are also spinning on
 					// unarrived data — distinguishes one dead edge from a
 					// task-wide partition.
-					polling := len(st.queue) - st.nonPolling + len(waiting) - 1
+					polling := st.queue.len() - st.nonPolling + len(waiting) - 1
 					st.mu.Unlock()
 					if stalled {
 						e.stats.recordPollTimeout(n.Op().Name())
@@ -639,26 +737,26 @@ func (e *Executor) worker(st *runState, startAt time.Time) {
 			}
 			pollMisses = 0
 			acct.PollWait += tick() // requeue bookkeeping
-			for _, i := range ready {
-				e.execNode(st, batch[i], ctxs[i], &acct, tick)
+			for _, rn := range ready {
+				e.execNode(st, rn, &acct, tick)
 			}
 			continue
 		}
 		pollMisses = 0
-		e.execNode(st, n, ctx, &acct, tick)
+		e.execNode(st, n, &acct, tick)
 	}
 }
 
 // execNode is phase 2: execute one ready node asynchronously if supported,
 // else synchronously. tick attributes the elapsed lap to the worker's
 // breakdown (Comm for EdgeKernel operators, Compute otherwise).
-func (e *Executor) execNode(st *runState, n *graph.Node, ctx *graph.Context, acct *metrics.StepBreakdown, tick func() time.Duration) {
+func (e *Executor) execNode(st *runState, n *graph.Node, acct *metrics.StepBreakdown, tick func() time.Duration) {
+	ctx := &e.ctxs[n.ID()].Context
 	isEdge := isEdgeNode(n)
 	start := time.Now()
 	var endSpan func()
 	if e.cfg.Trace != nil {
-		endSpan = e.cfg.Trace.Span(e.traceLane(), "exec", n.Op().Name(), n.Name(),
-			map[string]any{"iter": st.iter})
+		endSpan = e.cfg.Trace.Span(e.traceLane(), "exec", n.Op().Name(), n.Name(), st.spanArgs)
 	}
 	switch k := n.Op().(type) {
 	case graph.AsyncKernel:
@@ -704,38 +802,24 @@ func (e *Executor) execNode(st *runState, n *graph.Node, ctx *graph.Context, acc
 	}
 }
 
-func (e *Executor) newContext(st *runState, n *graph.Node) *graph.Context {
-	inputs := make([]*tensor.Tensor, len(n.Inputs()))
-	st.mu.Lock()
-	for i, in := range n.Inputs() {
-		inputs[i] = st.values[in.ID()]
-	}
-	st.mu.Unlock()
-	allocIdx := 0
-	ctx := &graph.Context{
-		Node:     n,
-		Iter:     st.iter,
-		Inputs:   inputs,
-		Vars:     e.cfg.Vars,
-		Feeds:    st.feeds,
-		Env:      e.cfg.Env,
-		Canceled: st.canceled,
-	}
-	ctx.Alloc = func(dt tensor.DType, shape tensor.Shape) (*tensor.Tensor, error) {
-		idx := allocIdx
-		allocIdx++
-		if e.recycle != nil {
-			if t := e.recycle.take(n.ID(), idx, dt, shape); t != nil {
-				return t, nil
-			}
+// alloc is the node's Context.Alloc: the k-th allocation of an iteration
+// is served from the node's previous-iteration tensor when the policy
+// calls the site recyclable, else by the policy.
+func (nc *nodeCtx) alloc(dt tensor.DType, shape tensor.Shape) (*tensor.Tensor, error) {
+	idx := nc.allocIdx
+	nc.allocIdx++
+	recyclable := nc.policy.Recyclable(nc.Node, nc.Iter, idx)
+	if recyclable {
+		if t := nc.take(idx, dt, shape); t != nil {
+			return t, nil
 		}
-		t, err := e.cfg.Policy.Alloc(n, st.iter, idx, dt, shape)
-		if err == nil && e.recycle != nil {
-			e.recycle.track(n.ID(), idx, t)
-		}
-		return t, err
 	}
-	return ctx
+	t, err := nc.policy.Alloc(nc.Node, nc.Iter, idx, dt, shape)
+	if err == nil && recyclable {
+		nc.track(idx, t)
+		metrics.AddRecycleMiss()
+	}
+	return t, err
 }
 
 func (e *Executor) checkFeeds(feeds map[string]*tensor.Tensor) error {

@@ -13,18 +13,13 @@ import (
 // dynamic tracing).
 type AllocPolicy interface {
 	Alloc(node *graph.Node, iter, allocIdx int, dt tensor.DType, shape tensor.Shape) (*tensor.Tensor, error)
-}
-
-// Recycler is an opt-in marker for AllocPolicy implementations that permit
-// the executor to serve an allocation by reusing the tensor it handed out
-// for the same (node, alloc index) last iteration, bypassing the policy.
-// Policies that must observe every allocation — the analyzer's tracing
-// policy records allocation sites during the first mini-batch and redirects
-// hot ones into the registered arena — must not implement this (or must
-// return false), otherwise recycling would hide exactly the steady-state
-// allocations the analysis needs to see.
-type Recycler interface {
-	AllowRecycle() bool
+	// Recyclable reports whether the executor may serve the allocation at
+	// (node, allocIdx) in iteration iter by reusing the tensor it handed
+	// out at the same site last iteration, bypassing Alloc. A site whose
+	// allocations the policy must observe or place — the tracing
+	// iteration, a site promoted into a staging slot or the registered
+	// arena — answers false and goes through Alloc every time.
+	Recyclable(node *graph.Node, iter, allocIdx int) bool
 }
 
 // HeapPolicy allocates every tensor on the Go heap.
@@ -35,6 +30,6 @@ func (HeapPolicy) Alloc(_ *graph.Node, _, _ int, dt tensor.DType, shape tensor.S
 	return tensor.New(dt, shape...), nil
 }
 
-// AllowRecycle implements Recycler: heap tensors carry no placement
+// Recyclable implements AllocPolicy: heap tensors carry no placement
 // decision, so reusing one is always equivalent to allocating afresh.
-func (HeapPolicy) AllowRecycle() bool { return true }
+func (HeapPolicy) Recyclable(*graph.Node, int, int) bool { return true }

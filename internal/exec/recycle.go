@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"sync"
-
 	"repro/internal/metrics"
 	"repro/internal/tensor"
 )
@@ -10,100 +8,81 @@ import (
 // Iteration-scoped output recycling. Training runs the same partition every
 // mini-batch, so the k-th allocation of node n has the same dtype and shape
 // iteration after iteration; once iteration i finishes, iteration i-1's
-// tensors are garbage. The recycler keys each allocation by (node id, alloc
-// index) and hands last iteration's tensor back instead of allocating,
+// tensors are garbage. Each node context keeps its allocations by alloc
+// index and hands last iteration's tensor back instead of allocating,
 // zeroed so kernels observe exactly the tensor.New contract.
 //
 // Safety rules:
-//   - Recycling is opt-in per AllocPolicy (the Recycler marker): the
-//     analyzer's tracing policy must see every allocation to promote hot
-//     sites into the registered arena, so it never recycles.
-//   - Only tensors obtained through ctx.Alloc participate. Pass-through
-//     outputs (Identity, Variable, Const, Reshape) and VarStore tensors
-//     never enter the cache.
+//   - Recycling is decided per site by AllocPolicy.Recyclable. The
+//     analyzer's tracing policy sees every allocation of the tracing
+//     iteration and every allocation at a hot site (staging slots, arena
+//     buffers); only cold heap sites are recycled.
+//   - Only tensors obtained through ctx.Alloc at a recyclable site
+//     participate. Pass-through outputs (Identity, Variable, Const,
+//     Reshape) and VarStore tensors never enter the cache.
 //   - Tensors whose storage escapes the iteration through a fetch are
 //     excluded by backing-buffer identity, which also covers a fetched
 //     Reshape view of an allocated tensor.
 //   - A failed iteration retires its tensors: kernels may still hold them.
-type recycler struct {
-	mu    sync.Mutex
-	cache map[allocKey]*tensor.Tensor // survivors of the previous iteration
-	cur   map[allocKey]*tensor.Tensor // allocations of the running iteration
-}
+//
+// A node's slots are touched only by the kernel executing it, and
+// finishRecycle runs after every node of the run completed, so the slots
+// need no lock.
 
-type allocKey struct {
-	node int
-	idx  int
-}
-
-func newRecycler() *recycler {
-	return &recycler{
-		cache: make(map[allocKey]*tensor.Tensor),
-		cur:   make(map[allocKey]*tensor.Tensor),
+// take serves an allocation from the previous iteration's tensor at idx, or
+// nil on miss. Hits are zeroed before reuse; shape or dtype mismatches (a
+// resized graph input) drop the stale tensor.
+func (nc *nodeCtx) take(idx int, dt tensor.DType, shape tensor.Shape) *tensor.Tensor {
+	if idx >= len(nc.prev) {
+		return nil
 	}
-}
-
-// take serves an allocation from the previous iteration's cache, or nil on
-// miss. Hits are zeroed before reuse; shape or dtype mismatches (a resized
-// graph input) drop the stale tensor.
-func (r *recycler) take(node, idx int, dt tensor.DType, shape tensor.Shape) *tensor.Tensor {
-	key := allocKey{node: node, idx: idx}
-	r.mu.Lock()
-	t, ok := r.cache[key]
-	if ok {
-		delete(r.cache, key)
+	t := nc.prev[idx]
+	nc.prev[idx] = nil
+	if t == nil || t.DType() != dt || !t.Shape().Equal(shape) {
+		return nil
 	}
-	if t != nil && (t.DType() != dt || !t.Shape().Equal(shape)) {
-		t = nil
-	}
-	if t != nil {
-		r.cur[key] = t
-	}
-	r.mu.Unlock()
-	if t != nil {
-		t.Zero()
-		metrics.AddRecycleHit()
-	}
+	nc.track(idx, t)
+	t.Zero()
+	metrics.AddRecycleHit()
 	return t
 }
 
-// track records a freshly policy-allocated tensor as this iteration's
-// occupant of (node, idx), making it a candidate for reuse next iteration.
-func (r *recycler) track(node, idx int, t *tensor.Tensor) {
-	key := allocKey{node: node, idx: idx}
-	r.mu.Lock()
-	r.cur[key] = t
-	r.mu.Unlock()
-	metrics.AddRecycleMiss()
+// track records a tensor as this iteration's occupant of idx, making it a
+// candidate for reuse next iteration.
+func (nc *nodeCtx) track(idx int, t *tensor.Tensor) {
+	for len(nc.cur) <= idx {
+		nc.cur = append(nc.cur, nil)
+	}
+	nc.cur[idx] = t
+	if len(nc.prev) < len(nc.cur) {
+		nc.prev = append(nc.prev, make([]*tensor.Tensor, len(nc.cur)-len(nc.prev))...)
+	}
 }
 
-// finish ends an iteration. On success the iteration's tensors become the
+// finishRecycle ends an iteration. On success each node's tensors become its
 // next cache, minus any whose storage a fetched tensor aliases. On failure
 // everything from the iteration is retired — a failed kernel may still
 // reference its buffers.
-func (r *recycler) finish(ok bool, fetched []*tensor.Tensor) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if ok {
-		for key, t := range r.cur {
-			escaped := false
-			for _, f := range fetched {
-				if f != nil && t.SharesStorage(f) {
-					escaped = true
-					break
-				}
+func (e *Executor) finishRecycle(ok bool, fetched []*tensor.Tensor) {
+	for _, n := range e.nodes {
+		nc := e.ctxs[n.ID()]
+		for idx, t := range nc.cur {
+			if t == nil {
+				continue
 			}
-			if !escaped {
-				r.cache[key] = t
+			nc.cur[idx] = nil
+			if ok && !escapes(t, fetched) {
+				nc.prev[idx] = t
 			}
 		}
 	}
-	clear(r.cur)
 }
 
-// CacheSize reports how many tensors are parked for reuse (tests).
-func (r *recycler) cacheSize() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.cache)
+func escapes(t *tensor.Tensor, fetched []*tensor.Tensor) bool {
+	for _, f := range fetched {
+		if f != nil && t.SharesStorage(f) {
+			return true
+		}
+	}
+	return false
 }

@@ -35,14 +35,11 @@ func TestRecycleReusesAcrossIterations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.recycle == nil {
-		t.Fatal("HeapPolicy executor should recycle")
-	}
 	out1 := mustRun(t, e, 0, feed(t, 1), "m")
 	if got := out1["m"].Float32s()[0]; got != 4 {
 		t.Fatalf("iter0 m = %v, want 4", got)
 	}
-	if e.recycle.cacheSize() == 0 {
+	if e.cacheSize() == 0 {
 		t.Fatal("no tensors cached after first iteration")
 	}
 	// Second iteration must be served from the cache and still be correct.
@@ -116,8 +113,8 @@ func TestRecycledTensorsAreZeroed(t *testing.T) {
 	}
 }
 
-// nonRecyclingPolicy mimics the analyzer's tracing policy: it must observe
-// every allocation, so it forbids recycling and counts calls.
+// nonRecyclingPolicy must observe every allocation, so it answers no site
+// recyclable and counts calls.
 type nonRecyclingPolicy struct{ calls *int }
 
 func (p nonRecyclingPolicy) Alloc(_ *graph.Node, _, _ int, dt tensor.DType, shape tensor.Shape) (*tensor.Tensor, error) {
@@ -125,7 +122,7 @@ func (p nonRecyclingPolicy) Alloc(_ *graph.Node, _, _ int, dt tensor.DType, shap
 	return tensor.New(dt, shape...), nil
 }
 
-func (nonRecyclingPolicy) AllowRecycle() bool { return false }
+func (nonRecyclingPolicy) Recyclable(*graph.Node, int, int) bool { return false }
 
 func TestRecycleRespectsPolicyOptOut(t *testing.T) {
 	calls := 0
@@ -133,24 +130,14 @@ func TestRecycleRespectsPolicyOptOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.recycle != nil {
-		t.Fatal("opt-out policy must disable the recycler")
-	}
 	mustRun(t, e, 0, feed(t, 1), "m")
 	after1 := calls
 	mustRun(t, e, 1, feed(t, 1), "m")
 	if calls != 2*after1 {
 		t.Fatalf("policy saw %d allocations after two iters, want %d", calls, 2*after1)
 	}
-}
-
-func TestRecycleDisableFlag(t *testing.T) {
-	e, err := New(buildChain(t), Config{DisableRecycle: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.recycle != nil {
-		t.Fatal("DisableRecycle must disable the recycler")
+	if n := e.cacheSize(); n != 0 {
+		t.Fatalf("%d tensors parked for reuse under a policy that recycles no site", n)
 	}
 }
 
@@ -162,9 +149,6 @@ func TestRecycleSteadyStateAllocFree(t *testing.T) {
 	e, err := New(buildChain(t), Config{Policy: countingHeap, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if e.recycle == nil {
-		t.Fatal("counting heap policy should recycle")
 	}
 	mustRun(t, e, 0, feed(t, 1), "m")
 	warm := calls
@@ -189,4 +173,61 @@ func (p countingPolicy) Alloc(_ *graph.Node, _, _ int, dt tensor.DType, shape te
 	return tensor.New(dt, shape...), nil
 }
 
-func (countingPolicy) AllowRecycle() bool { return true }
+func (countingPolicy) Recyclable(*graph.Node, int, int) bool { return true }
+
+// hotSitePolicy answers one site not recyclable, like the tracing policy
+// answers for a site it promoted into a staging slot, and counts the
+// policy allocations per node name.
+type hotSitePolicy struct {
+	hot   string
+	calls map[string]int
+}
+
+func (p hotSitePolicy) Alloc(n *graph.Node, _, _ int, dt tensor.DType, shape tensor.Shape) (*tensor.Tensor, error) {
+	p.calls[n.Name()]++
+	return tensor.New(dt, shape...), nil
+}
+
+func (p hotSitePolicy) Recyclable(n *graph.Node, _, allocIdx int) bool {
+	return n.Name() != p.hot || allocIdx != 0
+}
+
+func TestRecycleSkipsHotSite(t *testing.T) {
+	pol := hotSitePolicy{hot: "y", calls: make(map[string]int)}
+	e, err := New(buildChain(t), Config{Policy: pol, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const iters = 6
+	for i := 0; i < iters; i++ {
+		out := mustRun(t, e, i, feed(t, float32(i)), "m")
+		if got, want := out["m"].Float32s()[0], float32(4*i); got != want {
+			t.Fatalf("iter %d: m = %v, want %v", i, got, want)
+		}
+	}
+	if got := pol.calls["y"]; got != iters {
+		t.Errorf("hot site y reached the policy %d times over %d iterations, want every one", got, iters)
+	}
+	if got := pol.calls["z"]; got != 1 {
+		t.Errorf("cold site z reached the policy %d times, want once (then recycled)", got)
+	}
+	g, _ := e.g.Node("y")
+	for idx, t0 := range e.ctxs[g.ID()].prev {
+		if t0 != nil {
+			t.Errorf("hot site y alloc %d parked for reuse", idx)
+		}
+	}
+}
+
+// cacheSize reports how many tensors are parked for reuse.
+func (e *Executor) cacheSize() int {
+	n := 0
+	for _, node := range e.nodes {
+		for _, t := range e.ctxs[node.ID()].prev {
+			if t != nil {
+				n++
+			}
+		}
+	}
+	return n
+}

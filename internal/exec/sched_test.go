@@ -22,7 +22,15 @@ type flagOp struct {
 	mode string // "polling", "blocking", "sleeping"
 }
 
-func (f *flagOp) Name() string { return "FlagRecv_" + f.mode }
+func (f *flagOp) Name() string {
+	switch f.mode { // constant names: a per-call concatenation would allocate
+	case "polling":
+		return "FlagRecv_polling"
+	case "blocking":
+		return "FlagRecv_blocking"
+	}
+	return "FlagRecv_" + f.mode
+}
 func (f *flagOp) InferSig(in []graph.Sig) (graph.Sig, error) {
 	return graph.Static(tensor.Float32), nil
 }
@@ -190,5 +198,100 @@ func benchmarkSched(b *testing.B, mode string, workers int) {
 func BenchmarkSchedulingModes(b *testing.B) {
 	for _, mode := range []string{"polling", "blocking", "sleeping"} {
 		b.Run(mode, func(b *testing.B) { benchmarkSched(b, mode, 2) })
+	}
+}
+
+// TestWarmRunAllocsIndependentOfNodeCount: once warmed, a Run reuses the
+// node contexts, the ready queue and the poll scratch, and the outputs are
+// recycled, so the objects it allocates per iteration (run state, worker
+// goroutines, the fetch map) do not grow with the partition.
+func TestWarmRunAllocsIndependentOfNodeCount(t *testing.T) {
+	allocs := func(n int) float64 {
+		var flag atomic.Bool
+		var executed atomic.Int64
+		flag.Store(true) // every poll hits: no backoff sleeps in the count
+		e, err := New(buildSchedGraph(t, "polling", n, n, &flag, &executed), Config{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		iter := 0
+		run := func() {
+			if _, err := e.Run(iter, nil); err != nil {
+				t.Fatal(err)
+			}
+			iter++
+		}
+		run() // warm the recycler
+		return testing.AllocsPerRun(20, run)
+	}
+	small, large := allocs(4), allocs(64)
+	t.Logf("allocs per warm run: %v at 8 nodes, %v at 128 nodes", small, large)
+	const bound = 40
+	if large > bound {
+		t.Errorf("warm run allocates %v objects at 128 nodes, want <= %d", large, bound)
+	}
+	if large > small+2 {
+		t.Errorf("warm run allocations grow with the partition: %v at 8 nodes, %v at 128", small, large)
+	}
+}
+
+// gateOp records how many runs execute it at once.
+type gateOp struct{ active, peak *atomic.Int32 }
+
+func (g *gateOp) Name() string { return "Gate" }
+func (g *gateOp) InferSig(in []graph.Sig) (graph.Sig, error) {
+	return graph.Static(tensor.Float32), nil
+}
+func (g *gateOp) Compute(ctx *graph.Context) error {
+	n := g.active.Add(1)
+	for {
+		p := g.peak.Load()
+		if n <= p || g.peak.CompareAndSwap(p, n) {
+			break
+		}
+	}
+	time.Sleep(2 * time.Millisecond)
+	g.active.Add(-1)
+	out, err := ctx.Alloc(tensor.Float32, nil)
+	if err != nil {
+		return err
+	}
+	ctx.Output = out
+	return nil
+}
+
+// TestConcurrentRunsSerialized: the node contexts belong to the executor,
+// so two goroutines calling Run on one executor must take turns.
+func TestConcurrentRunsSerialized(t *testing.T) {
+	var active, peak atomic.Int32
+	b := graph.NewBuilder()
+	b.AddNode("gate", &gateOp{active: &active, peak: &peak})
+	g, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(g, Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, 2)
+	for r := 0; r < 2; r++ {
+		go func() {
+			for i := 0; i < 5; i++ {
+				if _, err := e.Run(i, nil, "gate"); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for r := 0; r < 2; r++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p := peak.Load(); p != 1 {
+		t.Fatalf("%d runs executed at once on one executor, want 1", p)
 	}
 }

@@ -11,6 +11,7 @@ type Recovery struct {
 	heartbeats  atomic.Int64
 	missedBeats atomic.Int64
 	expiries    atomic.Int64
+	suspicions  atomic.Int64
 	checkpoints atomic.Int64
 	rollbacks   atomic.Int64
 	recoveries  atomic.Int64
@@ -25,6 +26,10 @@ type RecoverySnapshot struct {
 	MissedBeats int64
 	// LeaseExpiries counts tasks the detector declared dead.
 	LeaseExpiries int64
+	// FalseSuspicions (heartbeat_false_suspicions_total) counts lease
+	// expiries that recovery refuted: the task's device was alive, so the
+	// lease resumed and the cluster replayed from the last checkpoint.
+	FalseSuspicions int64
 	// Checkpoints counts completed cluster-wide snapshot rounds; Rollbacks
 	// counts restores back to one.
 	Checkpoints int64
@@ -44,6 +49,9 @@ func (r *Recovery) AddMissedBeat() { r.missedBeats.Add(1) }
 // AddLeaseExpiry records one task declared dead by the detector.
 func (r *Recovery) AddLeaseExpiry() { r.expiries.Add(1) }
 
+// AddFalseSuspicion records one lease expiry refuted by a live device.
+func (r *Recovery) AddFalseSuspicion() { r.suspicions.Add(1) }
+
 // AddCheckpoint records one completed cluster-wide checkpoint.
 func (r *Recovery) AddCheckpoint() { r.checkpoints.Add(1) }
 
@@ -59,12 +67,13 @@ func (r *Recovery) AddRejoin() { r.rejoins.Add(1) }
 // Snapshot returns the current counter values.
 func (r *Recovery) Snapshot() RecoverySnapshot {
 	return RecoverySnapshot{
-		Heartbeats:    r.heartbeats.Load(),
-		MissedBeats:   r.missedBeats.Load(),
-		LeaseExpiries: r.expiries.Load(),
-		Checkpoints:   r.checkpoints.Load(),
-		Rollbacks:     r.rollbacks.Load(),
-		Recoveries:    r.recoveries.Load(),
-		Rejoins:       r.rejoins.Load(),
+		Heartbeats:      r.heartbeats.Load(),
+		MissedBeats:     r.missedBeats.Load(),
+		LeaseExpiries:   r.expiries.Load(),
+		FalseSuspicions: r.suspicions.Load(),
+		Checkpoints:     r.checkpoints.Load(),
+		Rollbacks:       r.rollbacks.Load(),
+		Recoveries:      r.recoveries.Load(),
+		Rejoins:         r.rejoins.Load(),
 	}
 }

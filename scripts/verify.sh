@@ -44,15 +44,25 @@ echo "== go vet GOARCH=arm64 (non-assembly kernel build) =="
 GOARCH=arm64 go vet ./internal/tensor/
 
 # Crash-recovery and close/poll regression gates, including the edge-rebuild
-# region-leak check, and the async retry engine's gates (no goroutine per
-# in-flight transfer, one fin under duplicate completions, a failed stripe
-# read retried as a group, cancel during backoff). go test -race ./... above
+# region-leak check, a stalled lease ping refuted and replayed, and the
+# async retry engine's gates (no goroutine per in-flight transfer, one fin
+# under duplicate completions, a failed stripe read retried as a group,
+# cancel during backoff). go test -race ./... above
 # already runs these; naming them keeps the acceptance bar explicit even if
 # package filters change.
 echo "== recovery & close/poll regression gates (-race) =="
-go test -race -run '^TestRecoveryWorkerCrashBitIdentical$|^TestHeartbeatDetectorExpiresAndResumes$|^TestLoadCheckpointRestoresRegisteredStorage$|^TestRebuildEdgesKeepsRegionCount$' ./internal/distributed/
+go test -race -run '^TestRecoveryWorkerCrashBitIdentical$|^TestRecoveryRefutedSuspicionReplaysBitIdentical$|^TestHeartbeatDetectorExpiresAndResumes$|^TestLoadCheckpointRestoresRegisteredStorage$|^TestRebuildEdgesKeepsRegionCount$' ./internal/distributed/
 go test -race -run '^TestCloseMidTransferFailsFast$|^TestCloseMidStripedTransferFailsFast$|^TestClosePeerSeversThenRebuilds$|^TestAsyncTransfersHoldNoGoroutine$|^TestAsyncRetryDuplicateCompletionsFinOnce$|^TestAsyncFetchRetriesFailedStripe$|^TestAsyncCanceledDuringBackoffPostsNothing$' ./internal/rdma/
 go test -race -run '^TestPurePollingBoundedSpin$|^TestPollBackoffPreservesFairness$' ./internal/exec/
+
+# Allocation-free steady state: a hot allocation site reaches the policy
+# every iteration while cold ones are recycled, a warm Run's allocations do
+# not grow with the partition, concurrent Runs on one executor take turns,
+# and a warmed 2-worker PS step stays under its byte bound with unchanged
+# hot sites, zero-copy sends and ps/ring loss bits.
+echo "== allocation-free step gates (-race) =="
+go test -race -run '^TestRecycleSkipsHotSite$|^TestWarmRunAllocsIndependentOfNodeCount$|^TestConcurrentRunsSerialized$' ./internal/exec/
+go test -race -run '^TestSteadyStatePSStepAllocations$' ./internal/distributed/
 
 # gRPC.RDMA ring transport gates: the ring suite on the static-slot engine
 # (fragmentation, per-slot reuse acks as credit, typed send timeouts under
