@@ -209,6 +209,3 @@ func (a *Arena) freeBytesLocked() int {
 	}
 	return n
 }
-
-// Block returns the underlying storage the arena manages.
-func (a *Arena) Block() []byte { return a.block }

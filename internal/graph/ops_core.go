@@ -423,17 +423,6 @@ func (op *applySGDOp) Name() string { return "ApplySGD" }
 // VarName returns the updated variable's name (used by the PS runtime).
 func (op *applySGDOp) VarName() string { return op.varName }
 
-// ApplySGDVar reports the variable an ApplySGD op updates; ok is false for
-// other operators. The distributed runtime uses it to order weight sends
-// before in-place updates.
-func ApplySGDVar(op Op) (string, bool) {
-	a, ok := op.(*applySGDOp)
-	if !ok {
-		return "", false
-	}
-	return a.varName, true
-}
-
 // UpdatedVariable reports the variable an in-place optimizer op (ApplySGD,
 // ApplyMomentum) mutates; ok is false for every other operator.
 func UpdatedVariable(op Op) (string, bool) {

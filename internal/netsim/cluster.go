@@ -346,32 +346,3 @@ func MicroIterUS(kind distributed.Kind, size int64) float64 {
 	reduce := us(size, 100) // device-side reduction streams the payload once
 	return RuntimeOverheadUS + p.TransferUS(size) + reduce
 }
-
-// Phases exposes the phase breakdown for diagnostics and the harness.
-func (c *ClusterSim) Phases(spec models.Spec, batch int) (pull, push, comp, apply Time) {
-	n := c.Servers
-	sizes := spec.TensorSizes()
-	placed := c.placeTensors(sizes)
-	var pulls, pushes []transfer
-	for _, pt := range placed {
-		for w := 0; w < n; w++ {
-			pulls = append(pulls, transfer{src: pt.shard, dst: w, size: pt.size})
-			pushes = append(pushes, transfer{src: w, dst: pt.shard, size: pt.size})
-		}
-	}
-	pull = maxOf(c.phaseTime(pulls))
-	push = maxOf(c.phaseTime(pushes))
-	comp = spec.Compute.MinibatchMS(batch) * 1000
-	for s := 0; s < n; s++ {
-		var shardBytes int64
-		for _, pt := range placed {
-			if pt.shard == s {
-				shardBytes += pt.size
-			}
-		}
-		if t := us(shardBytes*int64(n), c.ApplyGBps); t > apply {
-			apply = t
-		}
-	}
-	return
-}

@@ -17,7 +17,7 @@ import (
 //	parallel — the new kernel on a 4-worker pool.
 //
 // On a single-core machine serial ≈ parallel and the speedup over seed comes
-// from register blocking, the axpy4 micro-kernel and im2col alone; bench.sh
+// from register tiling, the GEMM micro-kernel and im2col alone; bench.sh
 // records runtime.NumCPU so the numbers are interpretable.
 
 // seedMatMul is the kernel MatMul shipped with before this PR: i-k-j axpy
@@ -130,9 +130,9 @@ func BenchmarkMatMul(b *testing.B) {
 
 // BenchmarkMatMulTrainShapes times the matmuls of an MLP training step with
 // batch 32 and 512-wide layers: the forward products 32×512×512 and
-// 32×512×64 (m×k×n) and the weight gradient aᵀ@b, 512×32×512, each serial
-// and on 2 workers. It is separate from BenchmarkMatMul, whose sub-benchmark
-// names scripts/bench.sh matches.
+// 32×512×64 (m×k×n), the weight gradient aᵀ@b, 512×32×512, and the input
+// gradient a@bᵀ, 32×64×512, each serial and on 2 workers. It is separate
+// from BenchmarkMatMul, whose sub-benchmark names scripts/bench.sh matches.
 func BenchmarkMatMulTrainShapes(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	cases := []struct {
@@ -140,14 +140,16 @@ func BenchmarkMatMulTrainShapes(b *testing.B) {
 		m, k, n int
 		mul     func(c, a, b *Tensor) error
 		aShape  Shape
+		bShape  Shape
 	}{
-		{"MatMul/32x512x512", 32, 512, 512, MatMul, Shape{32, 512}},
-		{"MatMul/32x512x64", 32, 512, 64, MatMul, Shape{32, 512}},
-		{"MatMulTransA/512x32x512", 512, 32, 512, MatMulTransA, Shape{32, 512}},
+		{"MatMul/32x512x512", 32, 512, 512, MatMul, Shape{32, 512}, Shape{512, 512}},
+		{"MatMul/32x512x64", 32, 512, 64, MatMul, Shape{32, 512}, Shape{512, 64}},
+		{"MatMulTransA/512x32x512", 512, 32, 512, MatMulTransA, Shape{32, 512}, Shape{32, 512}},
+		{"MatMulTransB/32x64x512", 32, 64, 512, MatMulTransB, Shape{32, 64}, Shape{512, 64}},
 	}
 	for _, tc := range cases {
 		x := randMat(rng, tc.aShape[0], tc.aShape[1])
-		y := randMat(rng, tc.k, tc.n)
+		y := randMat(rng, tc.bShape[0], tc.bShape[1])
 		c := New(Float32, tc.m, tc.n)
 		for _, workers := range []int{1, 2} {
 			name := tc.name + "/serial"

@@ -85,9 +85,9 @@ func fillPatches(dst, iv []float32, g convGeom, b int) {
 // Conv2D computes out = in ⊛ filter with the given stride and symmetric
 // zero padding. in:[n,h,w,ci], filter:[co,kh,kw,ci], out:[n,oh,ow,co].
 // Samples run in parallel; above im2colMinWork per-sample multiply-adds each
-// sample goes through a scratch im2col patch matrix and the blocked
-// dot-product matmul kernel (the OHWI filter is already its own [co,
-// kh*kw*ci] row matrix).
+// sample goes through a scratch im2col patch matrix and the GEMM kernel,
+// against the OHWI filter transposed once per call from [co, kh*kw*ci] to
+// [kh*kw*ci, co].
 func Conv2D(out, in, filter *Tensor, stride, pad int) error {
 	want, err := Conv2DShape(in.shape, filter.shape, stride, pad)
 	if err != nil {
@@ -98,12 +98,17 @@ func Conv2D(out, in, filter *Tensor, stride, pad int) error {
 	}
 	g := convGeometry(in.shape, filter.shape, out.shape[1], out.shape[2], stride, pad)
 	iv, fv, ov := in.Float32s(), filter.Float32s(), out.Float32s()
+	im2col := g.perSampleMACs >= im2colMinWork
+	var ft []float32 // the filter as a [patchLen, co] matrix
+	if im2col {
+		ft = transposedScratch(fv, g.co, g.patchLen)
+	}
 	sample := func(b int) {
 		ovb := ov[b*g.patches*g.co : (b+1)*g.patches*g.co]
-		if g.perSampleMACs >= im2colMinWork {
+		if im2col {
 			patches := alloc.Scratch.GetF32(g.patches * g.patchLen)
 			fillPatches(patches, iv, g, b)
-			matMulTBRows(ovb, patches, fv, 0, g.patches, g.patchLen, g.co)
+			im2colForward(ovb, patches, ft, g)
 			alloc.Scratch.PutF32(patches)
 			return
 		}
@@ -120,7 +125,14 @@ func Conv2D(out, in, filter *Tensor, stride, pad int) error {
 			sample(b)
 		}
 	}
+	alloc.Scratch.PutF32(ft)
 	return nil
+}
+
+// im2colForward writes one sample's output [patches, co] = patches @ ft,
+// with ft the filter transposed to [patchLen, co].
+func im2colForward(ovb, patches, ft []float32, g convGeom) {
+	gemmRows(ovb, patches, g.patchLen, 1, ft, 0, g.patches, g.patchLen, g.co)
 }
 
 // conv2DDirectSample is the small-shape forward path: one flat accumulator
@@ -192,7 +204,7 @@ func Conv2DGrad(din, dfilter, dout, in, filter *Tensor, stride, pad int) error {
 			gvb := gv[b*g.patches*g.co : (b+1)*g.patches*g.co]
 			if im2col {
 				dpatches := alloc.Scratch.GetF32(g.patches * g.patchLen)
-				matMulRows(dpatches, gvb, fv, 0, g.patches, g.co, g.patchLen)
+				gemmRows(dpatches, gvb, g.co, 1, fv, 0, g.patches, g.co, g.patchLen)
 				col2imAdd(dinv, dpatches, g, b)
 				alloc.Scratch.PutF32(dpatches)
 				return

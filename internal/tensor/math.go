@@ -3,18 +3,19 @@ package tensor
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/alloc"
 )
 
-// Matrix kernels. Each exported entry point validates shapes, then runs a
-// row-partitioned micro-kernel either serially or chunked across the shared
-// worker pool (internal/parallel). The serial path and every parallel chunk
-// execute the same per-row code with per-output accumulation in ascending
-// inner-dimension order, so results are bit-identical for any worker count.
+// Matrix kernels. Each exported entry point validates shapes, then runs the
+// row-partitioned GEMM kernel (gemm.go) either serially or chunked across the
+// shared worker pool (internal/parallel). The serial path and every parallel
+// chunk accumulate each output in ascending inner-dimension order, so results
+// are bit-identical for any worker count.
 
 // MatMul computes c = a @ b for float32 matrices a:[m,k], b:[k,n], c:[m,n].
-// The destination is fully overwritten. Rows of c are computed by a 4-row
-// register-blocked axpy kernel: axpy4 multiply-adds a row of b into four
-// output rows (SSE2 assembly on amd64, axpy4Generic elsewhere).
+// The destination is fully overwritten. Rows of c are computed by the
+// register-tiled GEMM kernel (gemm.go), row-parallel above minParFMA.
 func MatMul(c, a, b *Tensor) error {
 	if err := checkMat(a, 2); err != nil {
 		return err
@@ -30,73 +31,22 @@ func MatMul(c, a, b *Tensor) error {
 	if k != k2 || c.shape[0] != m || c.shape[1] != n {
 		return fmt.Errorf("tensor: matmul %v @ %v -> %v: %w", a.shape, b.shape, c.shape, ErrShape)
 	}
-	av, bv, cv := a.Float32s(), b.Float32s(), c.Float32s()
-	if m*k*n >= minParFMA {
-		pfor(m, rowGrain(m), func(lo, hi int) { matMulRows(cv, av, bv, lo, hi, k, n) })
-	} else {
-		matMulRows(cv, av, bv, 0, m, k, n)
-	}
+	matMulStrided(c.Float32s(), a.Float32s(), k, 1, b.Float32s(), m, k, n)
 	return nil
 }
 
-// matMulRows computes rows [lo,hi) of c = a @ b. Per output element the
-// accumulation order is p = 0..k-1, identical for every (lo,hi) split.
-func matMulRows(cv, av, bv []float32, lo, hi, k, n int) {
-	// One memclr for the whole row range: interleaving small zeroing loops
-	// with the blocked kernel measurably degrades the generated inner loop.
-	clear(cv[lo*n : hi*n])
-	if n == 0 {
-		return // nothing to compute, and &c0[0] of an empty row panics
-	}
-	i := lo
-	for ; i+4 <= hi; i += 4 {
-		a0 := av[i*k : (i+1)*k]
-		a1 := av[(i+1)*k : (i+2)*k]
-		a2 := av[(i+2)*k : (i+3)*k]
-		a3 := av[(i+3)*k : (i+4)*k]
-		c0 := cv[i*n : (i+1)*n]
-		c1 := cv[(i+1)*n : (i+2)*n]
-		c2 := cv[(i+2)*n : (i+3)*n]
-		c3 := cv[(i+3)*n : (i+4)*n]
-		for p := 0; p < k; p++ {
-			brow := bv[p*n : (p+1)*n]
-			axpy4(&c0[0], &c1[0], &c2[0], &c3[0], &brow[0], n, a0[p], a1[p], a2[p], a3[p])
-		}
-	}
-	for ; i < hi; i++ {
-		arow := av[i*k : (i+1)*k]
-		crow := cv[i*n : (i+1)*n]
-		for p := 0; p < k; p++ {
-			aip := arow[p]
-			brow := bv[p*n : (p+1)*n]
-			brow = brow[:n:n]
-			u := crow[:n:n]
-			for j := range brow {
-				u[j] += aip * brow[j]
-			}
-		}
+// matMulStrided computes c = A·B for A(i,p) = av[i*ars+p*aps], b:[k,n] and
+// c:[m,n], serially or row-parallel.
+func matMulStrided(cv, av []float32, ars, aps int, bv []float32, m, k, n int) {
+	if m*k*n >= minParFMA {
+		pfor(m, rowGrain(m), func(lo, hi int) { gemmRows(cv, av, ars, aps, bv, lo, hi, k, n) })
+	} else {
+		gemmRows(cv, av, ars, aps, bv, 0, m, k, n)
 	}
 }
 
-// matMulRowsAcc is matMulRows without the initial zeroing: c += a @ b.
-// The im2col convolution gradients accumulate across batch chunks with it.
-func matMulRowsAcc(cv, av, bv []float32, lo, hi, k, n int) {
-	for i := lo; i < hi; i++ {
-		arow := av[i*k : (i+1)*k]
-		crow := cv[i*n : (i+1)*n]
-		for p := 0; p < k; p++ {
-			aip := arow[p]
-			brow := bv[p*n : (p+1)*n]
-			brow = brow[:n:n]
-			u := crow[:n:n]
-			for j := range brow {
-				u[j] += aip * brow[j]
-			}
-		}
-	}
-}
-
-// MatMulTransA computes c = aᵀ @ b for a:[k,m], b:[k,n], c:[m,n].
+// MatMulTransA computes c = aᵀ @ b for a:[k,m], b:[k,n], c:[m,n]: the
+// MatMul kernel with A read column-wise (row stride 1, p stride m).
 func MatMulTransA(c, a, b *Tensor) error {
 	if err := checkMat(a, 2); err != nil {
 		return err
@@ -112,46 +62,8 @@ func MatMulTransA(c, a, b *Tensor) error {
 	if k != k2 || c.shape[0] != m || c.shape[1] != n {
 		return fmt.Errorf("tensor: matmulTA %v @ %v -> %v: %w", a.shape, b.shape, c.shape, ErrShape)
 	}
-	av, bv, cv := a.Float32s(), b.Float32s(), c.Float32s()
-	if m*k*n >= minParFMA {
-		pfor(m, rowGrain(m), func(lo, hi int) { matMulTARows(cv, av, bv, lo, hi, k, m, n) })
-	} else {
-		matMulTARows(cv, av, bv, 0, m, k, m, n)
-	}
+	matMulStrided(c.Float32s(), a.Float32s(), 1, m, b.Float32s(), m, k, n)
 	return nil
-}
-
-// matMulTARows computes rows [lo,hi) of c = aᵀ @ b for a:[k,am], b:[k,n].
-// Column i of a feeds row i of c; accumulation per output is p = 0..k-1.
-func matMulTARows(cv, av, bv []float32, lo, hi, k, am, n int) {
-	clear(cv[lo*n : hi*n])
-	if n == 0 {
-		return // as in matMulRows
-	}
-	i := lo
-	for ; i+4 <= hi; i += 4 {
-		c0 := cv[i*n : (i+1)*n]
-		c1 := cv[(i+1)*n : (i+2)*n]
-		c2 := cv[(i+2)*n : (i+3)*n]
-		c3 := cv[(i+3)*n : (i+4)*n]
-		for p := 0; p < k; p++ {
-			ap := av[p*am+i : p*am+i+4]
-			brow := bv[p*n : (p+1)*n]
-			axpy4(&c0[0], &c1[0], &c2[0], &c3[0], &brow[0], n, ap[0], ap[1], ap[2], ap[3])
-		}
-	}
-	for ; i < hi; i++ {
-		crow := cv[i*n : (i+1)*n]
-		for p := 0; p < k; p++ {
-			x := av[p*am+i]
-			brow := bv[p*n : (p+1)*n]
-			brow = brow[:n:n]
-			u := crow[:n:n]
-			for j := range brow {
-				u[j] += x * brow[j]
-			}
-		}
-	}
 }
 
 // matMulTAAcc accumulates c += aᵀ @ b over rows [lo,hi) of c (no zeroing);
@@ -173,7 +85,9 @@ func matMulTAAcc(cv, av, bv []float32, lo, hi, k, am, n int) {
 	}
 }
 
-// MatMulTransB computes c = a @ bᵀ for a:[m,k], b:[n,k], c:[m,n].
+// MatMulTransB computes c = a @ bᵀ for a:[m,k], b:[n,k], c:[m,n]. It
+// transposes b into a scratch [k,n] buffer and runs the MatMul kernel, whose
+// per-output order (from +0, p ascending) is the dot product's.
 func MatMulTransB(c, a, b *Tensor) error {
 	if err := checkMat(a, 2); err != nil {
 		return err
@@ -189,47 +103,10 @@ func MatMulTransB(c, a, b *Tensor) error {
 	if k != k2 || c.shape[0] != m || c.shape[1] != n {
 		return fmt.Errorf("tensor: matmulTB %v @ %v -> %v: %w", a.shape, b.shape, c.shape, ErrShape)
 	}
-	av, bv, cv := a.Float32s(), b.Float32s(), c.Float32s()
-	if m*k*n >= minParFMA {
-		pfor(m, rowGrain(m), func(lo, hi int) { matMulTBRows(cv, av, bv, lo, hi, k, n) })
-	} else {
-		matMulTBRows(cv, av, bv, 0, m, k, n)
-	}
+	bt := transposedScratch(b.Float32s(), n, k)
+	matMulStrided(c.Float32s(), a.Float32s(), k, 1, bt, m, k, n)
+	alloc.Scratch.PutF32(bt)
 	return nil
-}
-
-// matMulTBRows computes rows [lo,hi) of c = a @ bᵀ: each output is a dot
-// product of contiguous rows with a single accumulator over p = 0..k-1.
-func matMulTBRows(cv, av, bv []float32, lo, hi, k, n int) {
-	for i := lo; i < hi; i++ {
-		arow := av[i*k : (i+1)*k]
-		arow = arow[:k:k]
-		crow := cv[i*n : (i+1)*n]
-		j := 0
-		for ; j+2 <= n; j += 2 {
-			b0 := bv[j*k : (j+1)*k]
-			b1 := bv[(j+1)*k : (j+2)*k]
-			b0 = b0[:k:k]
-			b1 = b1[:k:k]
-			var s0, s1 float32
-			for p := range arow {
-				x := arow[p]
-				s0 += x * b0[p]
-				s1 += x * b1[p]
-			}
-			crow[j] = s0
-			crow[j+1] = s1
-		}
-		for ; j < n; j++ {
-			brow := bv[j*k : (j+1)*k]
-			brow = brow[:k:k]
-			var sum float32
-			for p := range arow {
-				sum += arow[p] * brow[p]
-			}
-			crow[j] = sum
-		}
-	}
 }
 
 func checkMat(t *Tensor, rank int) error {

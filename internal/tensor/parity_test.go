@@ -61,22 +61,19 @@ func TestMatMulParityAcrossWorkers(t *testing.T) {
 		// all +0 when k is 0.
 		{8, 5, 0},
 		{8, 0, 5},
+		// The training shapes (full tiles, row-parallel), then column
+		// tails below a tile width, row tails, and k = 1.
+		{32, 512, 512},
+		{512, 32, 512},
+		{32, 64, 512},
+		{12, 20, 17},
+		{4, 3, 33},
+		{7, 1, 16},
 	}
 	for _, s := range shapes {
 		m, k, n := s[0], s[1], s[2]
 		a, b := randMat(rng, m, k), randMat(rng, k, n)
-		aT := New(Float32, k, m)
-		bT := New(Float32, n, k)
-		for i := 0; i < m; i++ {
-			for p := 0; p < k; p++ {
-				aT.Float32s()[p*m+i] = a.Float32s()[i*k+p]
-			}
-		}
-		for j := 0; j < n; j++ {
-			for p := 0; p < k; p++ {
-				bT.Float32s()[j*k+p] = b.Float32s()[p*n+j]
-			}
-		}
+		aT, bT := transposedMat(a), transposedMat(b)
 		c := New(Float32, m, n)
 		// Every call starts from a NaN-filled c: each kernel must overwrite it.
 		dirty := func() {
@@ -84,8 +81,9 @@ func TestMatMulParityAcrossWorkers(t *testing.T) {
 				c.Float32s()[i] = float32(math.NaN())
 			}
 		}
-		// The blocked kernels accumulate each output from +0 in p = 0..k-1
-		// order, exactly as the naive triple loop does.
+		// All three forms accumulate each output from +0 in p = 0..k-1
+		// order, exactly as the naive triple loop does (TransB through a
+		// transposed copy of b).
 		want := naiveMatMul(a, b)
 		forEachWorkerCount(t, "matmul", func() []float32 {
 			dirty()
@@ -110,9 +108,7 @@ func TestMatMulParityAcrossWorkers(t *testing.T) {
 			}
 			return c.Float32s()
 		})
-		if !c.AllClose(want, 1e-3) {
-			t.Fatalf("matmulTB far from naive reference at %v", s)
-		}
+		bitsEqual(t, "matmulTB vs naive", c.Float32s(), want.Float32s())
 	}
 }
 
@@ -225,12 +221,14 @@ func TestConv2DGradParityAcrossWorkers(t *testing.T) {
 func conv2DForced(out, in, filter *Tensor, stride, pad int, im2col bool) {
 	g := convGeometry(in.Shape(), filter.Shape(), out.Shape()[1], out.Shape()[2], stride, pad)
 	iv, fv, ov := in.Float32s(), filter.Float32s(), out.Float32s()
+	ft := make([]float32, len(fv))
+	transposeInto(ft, fv, g.co, g.patchLen)
 	for b := 0; b < g.n; b++ {
 		ovb := ov[b*g.patches*g.co : (b+1)*g.patches*g.co]
 		if im2col {
 			patches := make([]float32, g.patches*g.patchLen)
 			fillPatches(patches, iv, g, b)
-			matMulTBRows(ovb, patches, fv, 0, g.patches, g.patchLen, g.co)
+			im2colForward(ovb, patches, ft, g)
 		} else {
 			conv2DDirectSample(ovb, iv, fv, g, b)
 		}
@@ -249,7 +247,7 @@ func conv2DGradForced(din, dfilter, dout, in, filter *Tensor, stride, pad int, i
 		gvb := gv[b*g.patches*g.co : (b+1)*g.patches*g.co]
 		if im2col {
 			dpatches := make([]float32, g.patches*g.patchLen)
-			matMulRows(dpatches, gvb, fv, 0, g.patches, g.co, g.patchLen)
+			gemmRows(dpatches, gvb, g.co, 1, fv, 0, g.patches, g.co, g.patchLen)
 			col2imAdd(dinv, dpatches, g, b)
 		} else {
 			convGradDinDirectSample(dinv, gvb, fv, g, b)

@@ -59,9 +59,6 @@ func (s Shape) Clone() Shape {
 	return c
 }
 
-// Dim returns the extent along dimension i, panicking if out of range.
-func (s Shape) Dim(i int) int { return s[i] }
-
 func (s Shape) String() string {
 	parts := make([]string, len(s))
 	for i, d := range s {

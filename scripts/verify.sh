@@ -33,15 +33,44 @@ echo "== go test -short (cmd/rdmadl-bench) =="
 echo "== go test -race -cpu=1,4 (kernel parallelism) =="
 go test -race -cpu=1,4 ./internal/parallel/ ./internal/tensor/ ./internal/exec/
 
-# On amd64 the 4-row matmul blocks run the axpy4 assembly kernel, whose
+# On amd64 the matmuls run the assembly GEMM tiles and 1-row loop, whose
 # writes the race detector cannot see. The purego tag selects the Go
-# kernel, so the same parity tests also run with every write instrumented;
+# kernels, so the same parity tests also run with every write instrumented;
 # the arm64 vet keeps that fallback compiling (vet's asmdecl check already
-# covers the amd64 assembly frame).
+# covers the amd64 assembly frames).
 echo "== go test -race -cpu=1,4 -tags purego (Go kernel path) =="
 go test -race -cpu=1,4 -tags purego ./internal/tensor/
 echo "== go vet GOARCH=arm64 (non-assembly kernel build) =="
 GOARCH=arm64 go vet ./internal/tensor/
+
+# Serving batches run only the scalar 1-row matmul loop, and its speed moved
+# by ~40 % with whether the linker happened to place it across a 64-byte
+# line. tensor.axpy1 pins the loop head with PCALIGN $64; check that the
+# linked product binary keeps it there. The loop head is the target of the
+# first backward conditional jump (the inner loop closes before the outer).
+if [ "$(go env GOARCH)" = amd64 ]; then
+	echo "== 1-row matmul loop alignment (tensor.axpy1) =="
+	layoutdir="$(mktemp -d)"
+	go build -o "$layoutdir/rdmadl-train" ./cmd/rdmadl-train
+	loophead=""
+	while read -r at target; do
+		if ((target < at)); then
+			loophead="$target"
+			break
+		fi
+	done < <(go tool objdump -s 'tensor\.axpy1(\.abi0)?$' "$layoutdir/rdmadl-train" |
+		awk '$4 ~ /^J/ && $4 != "JMP" && $5 ~ /^0x/ {print $2, $5}')
+	rm -rf "$layoutdir"
+	if [ -z "$loophead" ]; then
+		echo "layout: no tensor.axpy1 loop found in rdmadl-train"
+		exit 1
+	fi
+	if ((loophead % 64 != 0)); then
+		echo "layout: tensor.axpy1 loop head at $loophead is not 64-byte aligned"
+		exit 1
+	fi
+	echo "tensor.axpy1 loop head at $loophead"
+fi
 
 # Crash-recovery and close/poll regression gates, including the edge-rebuild
 # region-leak check, a stalled lease ping refuted and replayed, and the
@@ -153,7 +182,7 @@ go test -run=NONE -fuzz='^FuzzDecodeBatch$' -fuzztime="$FUZZTIME" ./internal/wir
 go test -run=NONE -fuzz='^FuzzHistogramRecord$' -fuzztime="$FUZZTIME" ./internal/metrics/
 go test -run=NONE -fuzz='^FuzzUnmarshalBucketDesc$' -fuzztime="$FUZZTIME" ./internal/comm/
 go test -run=NONE -fuzz='^FuzzUnmarshalShardMap$' -fuzztime="$FUZZTIME" ./internal/comm/
-go test -run=NONE -fuzz='^FuzzAxpy4$' -fuzztime="$FUZZTIME" ./internal/tensor/
+go test -run=NONE -fuzz='^FuzzGemmTile$' -fuzztime="$FUZZTIME" ./internal/tensor/
 go test -run=NONE -fuzz='^FuzzUnmarshalRingHello$' -fuzztime="$FUZZTIME" ./internal/transport/
 
 echo "verify: OK"
