@@ -37,6 +37,9 @@ type EdgeSpec struct {
 	// Sig is the transferred tensor's signature; Sig.Static selects the
 	// static-placement protocol, otherwise the dynamic one.
 	Sig graph.Sig
+	// ID is the edge's index in Result.Edges: a dense id both ends know
+	// without an exchange, so a runtime can index per-edge state by it.
+	ID int
 }
 
 // CommFactory builds the Send and Recv operators for one edge. The send op
@@ -133,8 +136,25 @@ func partition(b *graph.Builder, factory CommFactory, o options) (*Result, error
 	tasks := map[string]bool{}
 	edgeRecv := map[string]*graph.Node{}
 	edgeSend := map[string]*graph.Node{}
-	var edges []EdgeSpec
 	rewires := map[string][]pend{}
+	// Result.Edges is in key order, and an edge's id is its rank in it.
+	ids := map[string]int{}
+	for _, n := range nodes {
+		for _, in := range n.Inputs() {
+			if in.Task() != n.Task() {
+				ids[edgeKey(in.Name(), n.Task())] = 0
+			}
+		}
+	}
+	keys := make([]string, 0, len(ids))
+	for key := range ids {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for id, key := range keys {
+		ids[key] = id
+	}
+	edges := make([]EdgeSpec, len(keys))
 
 	for _, n := range nodes {
 		tasks[n.Task()] = true
@@ -156,6 +176,7 @@ func partition(b *graph.Builder, factory CommFactory, o options) (*Result, error
 					SrcTask: in.Task(),
 					DstTask: n.Task(),
 					Sig:     in.Sig(),
+					ID:      ids[key],
 				}
 				sendOp, recvOp, err := factory(spec)
 				if err != nil {
@@ -172,7 +193,7 @@ func partition(b *graph.Builder, factory CommFactory, o options) (*Result, error
 				}
 				edgeRecv[key] = recv
 				edgeSend[key] = send
-				edges = append(edges, spec)
+				edges[spec.ID] = spec
 			}
 			rewires[key] = append(rewires[key], pend{node: n, idx: i})
 		}
@@ -185,7 +206,6 @@ func partition(b *graph.Builder, factory CommFactory, o options) (*Result, error
 			}
 		}
 	}
-	sort.Slice(edges, func(i, j int) bool { return edges[i].Key < edges[j].Key })
 	if o.postHook != nil {
 		if err := o.postHook(b, edges, edgeSend); err != nil {
 			return nil, err

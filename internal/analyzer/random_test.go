@@ -56,6 +56,18 @@ func TestPartitionRandomGraphs(t *testing.T) {
 				t.Fatalf("trial %d: self edge %s", trial, e.Key)
 			}
 		}
+		// Edges are in key order, each id is the edge's index, and the
+		// factory saw that id.
+		for i, e := range res.Edges {
+			if e.ID != i || (i > 0 && res.Edges[i-1].Key >= e.Key) {
+				t.Fatalf("trial %d: edge %d is %s with id %d", trial, i, e.Key, e.ID)
+			}
+		}
+		for _, n := range res.Graph.Nodes() {
+			if op, ok := n.Op().(*fakeSend); ok && res.Edges[op.spec.ID].Key != op.spec.Key {
+				t.Fatalf("trial %d: send op of %s carries id %d", trial, op.spec.Key, op.spec.ID)
+			}
+		}
 		// Every task partition validates under the executor (no
 		// cross-partition inputs remain).
 		for _, task := range res.Tasks {

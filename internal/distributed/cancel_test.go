@@ -17,7 +17,7 @@ import (
 // launchCoalescedCluster builds the 2-worker/1-PS training so both of a
 // worker's gradient edges land in one coalesce group, and returns a send
 // member of a multi-member group on worker0.
-func launchCoalescedCluster(t *testing.T) (*Cluster, *Env, *coalSendEdge) {
+func launchCoalescedCluster(t *testing.T) (*Cluster, *Env, *edge) {
 	t.Helper()
 	b, _ := buildPSTraining(t, 2, 1, 8, 12, 4, 0.2)
 	cl, err := Launch(b, Config{
@@ -34,23 +34,31 @@ func launchCoalescedCluster(t *testing.T) (*Cluster, *Env, *coalSendEdge) {
 	}
 	t.Cleanup(func() { cl.Close() })
 	env := cl.Server("worker0").Env
-	env.mu.Lock()
-	var member *coalSendEdge
-	for _, m := range env.coalSendEdges {
-		if m.group.members >= 2 {
+	var member *edge
+	for _, m := range env.edges {
+		if m != nil && m.sendGroup != nil && m.sendGroup.members >= 2 {
 			member = m
 			break
 		}
 	}
-	env.mu.Unlock()
 	if member == nil {
 		t.Fatal("no multi-member coalesce send group on worker0; topology changed?")
 	}
 	return cl, env, member
 }
 
+// sendOp builds the send op the cluster's factory makes for an edge.
+func sendOp(t *testing.T, cfg Config, spec analyzer.EdgeSpec) graph.AsyncKernel {
+	t.Helper()
+	send, _, err := commFactory(cfg)(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return send.(graph.AsyncKernel)
+}
+
 // memberCtx builds the minimal kernel context a coalesced send member needs.
-func memberCtx(t *testing.T, env *Env, m *coalSendEdge, iter int, canceled func() bool) *graph.Context {
+func memberCtx(t *testing.T, env *Env, m *edge, iter int, canceled func() bool) *graph.Context {
 	t.Helper()
 	in := tensor.New(m.spec.Sig.DType, m.spec.Sig.Shape...)
 	return &graph.Context{
@@ -65,8 +73,8 @@ func memberCtx(t *testing.T, env *Env, m *coalSendEdge, iter int, canceled func(
 // an error instead of staging into a batch nobody will ever flush — the
 // executor's quiesce drain waits on exactly that completion.
 func TestCoalescedSendFailsWhenIterationCanceled(t *testing.T) {
-	_, env, m := launchCoalescedCluster(t)
-	op := &coalescedSendOp{spec: m.spec}
+	cl, env, m := launchCoalescedCluster(t)
+	op := sendOp(t, cl.cfg, m.spec)
 	ctx := memberCtx(t, env, m, 100, func() bool { return true })
 	errCh := make(chan error, 1)
 	op.ComputeAsync(ctx, func(err error) { errCh <- err })
@@ -78,9 +86,9 @@ func TestCoalescedSendFailsWhenIterationCanceled(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("canceled coalesced send never completed")
 	}
-	m.group.mu.Lock()
-	staged, waiters := m.group.staged, len(m.group.waiters)
-	m.group.mu.Unlock()
+	m.sendGroup.mu.Lock()
+	staged, waiters := m.sendGroup.staged, len(m.sendGroup.waiters)
+	m.sendGroup.mu.Unlock()
 	if staged != 0 || waiters != 0 {
 		t.Errorf("group left staged=%d waiters=%d after cancel, want 0/0", staged, waiters)
 	}
@@ -92,17 +100,17 @@ func TestCoalescedSendFailsWhenIterationCanceled(t *testing.T) {
 // the quiesce-drain deadlock: without the sweep, Run — and Step and
 // recovery behind it — blocked forever on the parked waiter.
 func TestEnvFailPendingReleasesStagedWaiter(t *testing.T) {
-	_, env, m := launchCoalescedCluster(t)
-	op := &coalescedSendOp{spec: m.spec}
+	cl, env, m := launchCoalescedCluster(t)
+	op := sendOp(t, cl.cfg, m.spec)
 	ctx := memberCtx(t, env, m, 100, func() bool { return false })
 	errCh := make(chan error, 1)
 	op.ComputeAsync(ctx, func(err error) { errCh <- err })
 	// Wait until the staging goroutine has parked the waiter.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		m.group.mu.Lock()
-		parked := len(m.group.waiters) == 1
-		m.group.mu.Unlock()
+		m.sendGroup.mu.Lock()
+		parked := len(m.sendGroup.waiters) == 1
+		m.sendGroup.mu.Unlock()
 		if parked {
 			break
 		}
@@ -125,9 +133,9 @@ func TestEnvFailPendingReleasesStagedWaiter(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("FailPending did not release the staged waiter")
 	}
-	m.group.mu.Lock()
-	staged := m.group.staged
-	m.group.mu.Unlock()
+	m.sendGroup.mu.Lock()
+	staged := m.sendGroup.staged
+	m.sendGroup.mu.Unlock()
 	if staged != 0 {
 		t.Errorf("group staged = %d after FailPending, want 0 (batch reset)", staged)
 	}
@@ -137,8 +145,14 @@ func TestEnvFailPendingReleasesStagedWaiter(t *testing.T) {
 // poll, not delivered to (or poison) the live iteration.
 func TestRPCRecvDiscardsStalePush(t *testing.T) {
 	env := newEnv("worker0", GRPCTCP, nil, &metrics.Comm{}, rdma.TransferOpts{}, nil, nil)
-	mb := env.mailbox("edge")
-	op := &rpcRecvOp{spec: analyzer.EdgeSpec{Key: "edge", Sig: graph.Static(tensor.Float32, 1)}}
+	spec := analyzer.EdgeSpec{Key: "edge", Sig: graph.Static(tensor.Float32, 1)}
+	mb := newMailbox()
+	env.edges = []*edge{{spec: spec, kind: rpcEdge, mb: mb}}
+	_, recv, err := commFactory(Config{Kind: GRPCTCP})(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op := recv.(*rpcRecvOp)
 	ctx := &graph.Context{Iter: 1, Env: env} // live iteration expects seq 2
 
 	stale := tensor.New(tensor.Float32, 1)
@@ -190,9 +204,9 @@ func TestRPCSendSkipsPushWhenCanceled(t *testing.T) {
 	defer client.Close()
 
 	env := newEnv("worker0", GRPCTCP, nil, &metrics.Comm{}, rdma.TransferOpts{}, nil, nil)
-	env.rpcClients["ps0"] = client
 	spec := analyzer.EdgeSpec{Key: "edge", DstTask: "ps0", Sig: graph.Static(tensor.Float32, 1)}
-	op := &rpcSendOp{spec: spec}
+	env.edges = []*edge{{spec: spec, kind: rpcEdge, client: client}}
+	op := sendOp(t, Config{Kind: GRPCTCP}, spec)
 	in := tensor.New(tensor.Float32, 1)
 	ctx := &graph.Context{
 		Iter:     3,

@@ -3,14 +3,12 @@ package distributed
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/analyzer"
-	"repro/internal/comm"
 	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/metrics"
@@ -19,7 +17,6 @@ import (
 	"repro/internal/tensor"
 	"repro/internal/trace"
 	"repro/internal/transport"
-	"repro/internal/wire"
 )
 
 // Config parameterizes a cluster launch.
@@ -103,9 +100,15 @@ type Server struct {
 	rpcSrv  *rpc.Server
 	rpcAddr string
 
-	descMu     sync.Mutex
-	descs      map[string][]byte // edge key -> marshaled slot descriptor
-	qpCounters map[string]int    // per-peer round-robin QP assignment
+	// Setup-only state: edge setup, InitVariable, restore and Close read
+	// and write it, never a step.
+	//
+	// stagings are the sender staging slots by source node; fan-out edges
+	// share one. They outlive edge rebuilds: variables live in them.
+	stagings map[string]*stagingSlot
+	// clients are the RPC mechanisms' clients by destination task.
+	clients    map[string]*rpc.Client
+	qpCounters map[string]int // per-peer round-robin QP assignment
 	// edgeMRs are the regions whose lifetime is one edge-setup round
 	// (receive slots, dyn metadata and scratch blocks, coalesce batches).
 	// teardownEdges frees them, so a transfer surviving from an aborted
@@ -138,7 +141,8 @@ type Cluster struct {
 // address distribution (§3.1: "a simple vanilla RPC mechanism ... for this
 // auxiliary purpose of distributing remote memory addresses"): a sender
 // fetches its receiver's slot descriptor, then pushes back the address of
-// the word its receiver answers into (Env.installBack).
+// the word its receiver answers into (edge.installBack). Both name the edge
+// (or coalesce group) by key, resolved through the receiver's Env.byName.
 const (
 	edgeDescMethod = "edge.desc"
 	edgeBackMethod = "edge.back"
@@ -151,8 +155,7 @@ const (
 // with InitVariable before the first Step.
 func Launch(b *graph.Builder, cfg Config) (*Cluster, error) {
 	cfg.setDefaults()
-	factory := commFactory(cfg.Kind, cfg.Transfer.CoalesceThreshold)
-	res, err := analyzer.Partition(b, factory, analyzer.WithPostHook(orderSendsBeforeUpdates))
+	res, err := analyzer.Partition(b, commFactory(cfg), analyzer.WithPostHook(orderSendsBeforeUpdates))
 	if err != nil {
 		return nil, err
 	}
@@ -170,12 +173,7 @@ func Launch(b *graph.Builder, cfg Config) (*Cluster, error) {
 		c.servers[task] = srv
 	}
 	c.result = res
-	if cfg.Kind.UsesRPC() {
-		err = c.setupRPCEdges(res)
-	} else {
-		err = c.setupRDMAEdges(res)
-	}
-	if err != nil {
+	if err := c.setupEdges(); err != nil {
 		c.Close()
 		return nil, err
 	}
@@ -238,7 +236,8 @@ func (c *Cluster) newServer(task string) (*Server, error) {
 		VarStore: exec.NewVarStore(),
 		Metrics:  m,
 		Hists:    hists,
-		descs:    make(map[string][]byte),
+		stagings: make(map[string]*stagingSlot),
+		clients:  make(map[string]*rpc.Client),
 	}
 	srv.Env = newEnv(task, c.cfg.Kind, policy, m, c.cfg.Transfer, arena, arenaMR)
 	srv.Env.Hists = hists
@@ -250,16 +249,14 @@ func (c *Cluster) newServer(task string) (*Server, error) {
 		srv.Mux = mux
 	}
 	dev.RegisterRPC(edgeDescMethod, func(from string, req []byte) ([]byte, error) {
-		srv.descMu.Lock()
-		defer srv.descMu.Unlock()
-		d, ok := srv.descs[string(req)]
-		if !ok {
-			return nil, fmt.Errorf("%w: no slot descriptor for edge %q on %s", ErrSetup, req, task)
+		e, err := srv.Env.named(string(req))
+		if err != nil {
+			return nil, err
 		}
-		return d, nil
+		return e.desc, nil
 	})
 	dev.RegisterRPC(edgeBackMethod, func(from string, req []byte) ([]byte, error) {
-		key, desc, err := splitKeyPayload(req)
+		name, desc, err := splitKeyPayload(req)
 		if err != nil {
 			return nil, err
 		}
@@ -267,7 +264,11 @@ func (c *Cluster) newServer(task string) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		return nil, srv.Env.installBack(key, back)
+		e, err := srv.Env.named(name)
+		if err != nil {
+			return nil, err
+		}
+		return nil, e.installBack(back)
 	})
 	// Lease pings ride the same vanilla-RPC seam as address distribution
 	// (§3.1): membership is control-plane traffic. Registered
@@ -301,536 +302,6 @@ func orderSendsBeforeUpdates(b *graph.Builder, edges []analyzer.EdgeSpec, sends 
 	return b.Err()
 }
 
-func commFactory(kind Kind, coalesceThreshold int) analyzer.CommFactory {
-	return func(spec analyzer.EdgeSpec) (graph.Op, graph.Op, error) {
-		if kind.UsesRPC() {
-			return &rpcSendOp{spec: spec}, &rpcRecvOp{spec: spec}, nil
-		}
-		if coalescible(spec, coalesceThreshold) {
-			return &coalescedSendOp{spec: spec}, &coalescedRecvOp{spec: spec}, nil
-		}
-		if spec.Sig.Static {
-			return &rdmaSendOp{spec: spec}, &rdmaRecvOp{spec: spec}, nil
-		}
-		return &rdmaSendDynOp{spec: spec}, &rdmaRecvDynOp{spec: spec}, nil
-	}
-}
-
-// coalescible reports whether an edge rides the coalesced batch path: a
-// statically placed tensor below the configured threshold. The predicate is
-// shared by the operator factory and setupRDMAEdges so op kinds and edge
-// state never disagree.
-func coalescible(spec analyzer.EdgeSpec, threshold int) bool {
-	return threshold > 0 && spec.Sig.Static && spec.Sig.ByteSize() < threshold
-}
-
-// coalPlan is the deterministic batch layout for one (src, dst) task pair:
-// sub-message ids are assigned by the edge's position in res.Edges, so both
-// setup phases — and every server — derive identical layouts independently.
-type coalPlan struct {
-	key              string
-	srcTask, dstTask string
-	members          []analyzer.EdgeSpec // index == sub-message id
-	capacity         int                 // batch framing bytes for a full batch
-}
-
-func coalPlans(res *analyzer.Result, threshold int) []*coalPlan {
-	var plans []*coalPlan
-	byPair := make(map[string]*coalPlan)
-	for _, e := range res.Edges {
-		if !coalescible(e, threshold) {
-			continue
-		}
-		key := "coalesce/" + e.SrcTask + "->" + e.DstTask
-		// Collective phases must not share a batch: a ring's reduce hop
-		// k->k+1 transitively feeds the broadcast hop over the same task
-		// pair, and a shared batch only flushes once ALL members staged —
-		// a cycle that would deadlock the step. Keying the group by the
-		// producing node's collective phase keeps each batch acyclic.
-		if ph := comm.CoalescePhase(e.SrcNode); ph != "" {
-			key += "#" + ph
-		}
-		p, ok := byPair[key]
-		if !ok {
-			p = &coalPlan{key: key, srcTask: e.SrcTask, dstTask: e.DstTask,
-				capacity: wire.BatchHeaderSize}
-			byPair[key] = p
-			plans = append(plans, p)
-		}
-		p.members = append(p.members, e)
-		p.capacity += wire.SubMsgSize(e.Sig.ByteSize())
-	}
-	return plans
-}
-
-// setupRDMAEdges performs the two setup phases: receivers preallocate slots
-// and publish descriptors; senders fetch descriptors, build their staging
-// or scratch state, and (for dynamic edges) push their scratch descriptor
-// back for the ack path. With QP muxing on, every setup-time channel is a
-// short-lived lease, so even the setup round never exceeds the slot cap.
-func (c *Cluster) setupRDMAEdges(res *analyzer.Result) error {
-	plans := coalPlans(res, c.cfg.Transfer.CoalesceThreshold)
-	// Phase A: receiver-side preallocation.
-	for _, e := range res.Edges {
-		if coalescible(e, c.cfg.Transfer.CoalesceThreshold) {
-			continue // handled per pair below
-		}
-		if err := c.setupRecvEdge(c.servers[e.DstTask], e); err != nil {
-			return err
-		}
-	}
-	// Phase A': coalesced batch slots, one per (src, dst) pair.
-	for _, p := range plans {
-		if err := c.setupCoalRecvGroup(c.servers[p.dstTask], p); err != nil {
-			return err
-		}
-	}
-	// Phase B: sender-side setup via address distribution.
-	for _, e := range res.Edges {
-		if coalescible(e, c.cfg.Transfer.CoalesceThreshold) {
-			continue
-		}
-		if err := c.setupSendEdge(c.servers[e.SrcTask], e); err != nil {
-			return err
-		}
-	}
-	// Phase B': coalesced batch senders, plus ack-word distribution back to
-	// the receiver group.
-	for _, p := range plans {
-		if err := c.setupCoalSendGroup(c.servers[p.srcTask], p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// setupRecvEdge builds one edge's receiver-side state and publishes its
-// slot descriptor.
-func (c *Cluster) setupRecvEdge(dst *Server, e analyzer.EdgeSpec) error {
-	if e.Sig.Static {
-		payload := e.Sig.ByteSize()
-		size := rdma.StaticSlotSize(payload)
-		if c.cfg.LossyFabric {
-			size = rdma.LossySlotSize(payload)
-		}
-		mr, err := dst.allocEdgeMR(size)
-		if err != nil {
-			return fmt.Errorf("edge %s: %w", e.Key, err)
-		}
-		var recv staticReceiver
-		if c.cfg.LossyFabric {
-			ch, release, err := c.chanFor(dst, e.SrcTask)
-			if err != nil {
-				return fmt.Errorf("edge %s: %w", e.Key, err)
-			}
-			defer release()
-			m := dst.Metrics
-			lr, err := rdma.NewLossyReceiver(ch, mr, 0, payload, edgeTensorID(e.Key),
-				rdma.LossyReceiverConfig{
-					OnNack: func(int) { m.AddNack() },
-					Source: muxSource(dst),
-				})
-			if err != nil {
-				return fmt.Errorf("edge %s: %w", e.Key, err)
-			}
-			recv = lr
-		} else {
-			sr, err := rdma.NewStaticReceiver(mr, 0, payload)
-			if err != nil {
-				return fmt.Errorf("edge %s: %w", e.Key, err)
-			}
-			recv = sr
-		}
-		dst.Env.mu.Lock()
-		dst.Env.staticRecv[e.Key] = &staticRecvState{spec: e, recv: recv}
-		dst.Env.mu.Unlock()
-		dst.putDesc(e.Key, recv.Desc().Marshal())
-		return nil
-	}
-	metaMR, err := dst.allocEdgeMR(rdma.DynMetaSize)
-	if err != nil {
-		return fmt.Errorf("edge %s: %w", e.Key, err)
-	}
-	ch, release, err := c.chanFor(dst, e.SrcTask)
-	if err != nil {
-		return fmt.Errorf("edge %s: %w", e.Key, err)
-	}
-	defer release()
-	recv, err := rdma.NewDynReceiver(ch, metaMR, 0)
-	if err != nil {
-		return fmt.Errorf("edge %s: %w", e.Key, err)
-	}
-	if dst.Mux != nil {
-		// Muxed: every fetch leases its lanes per attempt.
-		recv.SetLaneSource(dst.Mux)
-	} else {
-		// Striping: the dyn fetch is receiver-driven, so the extra QP
-		// lanes live on the receiver.
-		for i := 1; i < c.stripeLanes(); i++ {
-			lane, err := dst.Dev.GetChannel(e.SrcTask, dst.nextQP(e.SrcTask, c.cfg.QPsPerPeer))
-			if err != nil {
-				return fmt.Errorf("edge %s lane %d: %w", e.Key, i, err)
-			}
-			if err := recv.AddLane(lane); err != nil {
-				return fmt.Errorf("edge %s lane %d: %w", e.Key, i, err)
-			}
-		}
-	}
-	dst.Env.mu.Lock()
-	dst.Env.dynRecv[e.Key] = &dynRecvState{spec: e, opts: dst.Env.edgeOpts(e.Key), recv: recv}
-	dst.Env.mu.Unlock()
-	dst.putDesc(e.Key, recv.Desc().Marshal())
-	return nil
-}
-
-// setupSendEdge builds one edge's sender-side state: descriptor fetch via
-// address distribution, staging/scratch wiring, stripe lanes or mux source,
-// and — on a lossy fabric — the NACK-scratch push back to the receiver.
-func (c *Cluster) setupSendEdge(src *Server, e analyzer.EdgeSpec) error {
-	ch, release, err := c.chanFor(src, e.DstTask)
-	if err != nil {
-		return fmt.Errorf("edge %s: %w", e.Key, err)
-	}
-	defer release()
-	// Address distribution is idempotent (the handler only reads the
-	// published descriptor), so transient faults are retried.
-	descBytes, err := ch.CallRetry(edgeDescMethod, []byte(e.Key),
-		rdma.TransferOpts{Deadline: rpcTimeout})
-	if err != nil {
-		return fmt.Errorf("edge %s: %w", e.Key, err)
-	}
-	if e.Sig.Static {
-		desc, err := rdma.UnmarshalStaticSlotDesc(descBytes)
-		if err != nil {
-			return fmt.Errorf("edge %s: %w", e.Key, err)
-		}
-		slot, err := src.stagingFor(e.SrcNode, e.Sig)
-		if err != nil {
-			return fmt.Errorf("edge %s: %w", e.Key, err)
-		}
-		sender, err := rdma.NewStaticSender(ch, slot.mr, 0, desc)
-		if err != nil {
-			return fmt.Errorf("edge %s: %w", e.Key, err)
-		}
-		if src.Mux != nil {
-			sender.SetLaneSource(src.Mux)
-		} else {
-			// Striping: extra sender-side QP lanes for the write path.
-			for i := 1; i < c.stripeLanes(); i++ {
-				lane, err := src.Dev.GetChannel(e.DstTask, src.nextQP(e.DstTask, c.cfg.QPsPerPeer))
-				if err != nil {
-					return fmt.Errorf("edge %s lane %d: %w", e.Key, i, err)
-				}
-				if err := sender.AddLane(lane); err != nil {
-					return fmt.Errorf("edge %s lane %d: %w", e.Key, i, err)
-				}
-			}
-		}
-		st := &staticSendState{spec: e, slot: slot, sender: sender, opts: src.Env.edgeOpts(e.Key)}
-		if c.cfg.LossyFabric {
-			ls, err := rdma.NewLossySender(sender, edgeTensorID(e.Key))
-			if err != nil {
-				return fmt.Errorf("edge %s: %w", e.Key, err)
-			}
-			// The receiver cannot NACK until it knows where the sender's
-			// NACK block lives.
-			if err := pushBack(ch, e.Key, ls.NackScratch()); err != nil {
-				ls.Close()
-				return fmt.Errorf("edge %s: %w", e.Key, err)
-			}
-			st.sender = ls
-		}
-		src.Env.mu.Lock()
-		src.Env.staticSend[e.Key] = st
-		src.Env.mu.Unlock()
-		if c.cfg.Kind.ZeroCopy() {
-			src.Policy.BindStaging(e.SrcNode, slot.tensor)
-		}
-		return nil
-	}
-	desc, err := rdma.UnmarshalDynSlotDesc(descBytes)
-	if err != nil {
-		return fmt.Errorf("edge %s: %w", e.Key, err)
-	}
-	scratchMR, err := src.allocEdgeMR(rdma.DynMetaSize)
-	if err != nil {
-		return fmt.Errorf("edge %s: %w", e.Key, err)
-	}
-	sender, err := rdma.NewDynSender(ch, scratchMR, 0, desc)
-	if err != nil {
-		return fmt.Errorf("edge %s: %w", e.Key, err)
-	}
-	if src.Mux != nil {
-		sender.SetLaneSource(src.Mux)
-	}
-	src.Env.mu.Lock()
-	src.Env.dynSend[e.Key] = &dynSendState{spec: e, opts: src.Env.edgeOpts(e.Key), sender: sender, dev: src.Dev}
-	src.Env.mu.Unlock()
-	if err := pushBack(ch, e.Key, sender.ScratchDesc()); err != nil {
-		return fmt.Errorf("edge %s: %w", e.Key, err)
-	}
-	return nil
-}
-
-// pushBack hands a receiver the address of the sender word it answers
-// into: the dyn scratch block, the coalesced ack word, or the lossy NACK
-// block. Idempotent (the handler overwrites the address with the same
-// value), so transient faults are retried.
-func pushBack(ch *rdma.Channel, key string, back rdma.DynSlotDesc) error {
-	_, err := ch.CallRetry(edgeBackMethod, joinKeyPayload(key, back.Marshal()),
-		rdma.TransferOpts{Deadline: rpcTimeout})
-	if err != nil {
-		return fmt.Errorf("back-channel distribution: %w", err)
-	}
-	return nil
-}
-
-// setupCoalRecvGroup builds one pair's coalesced batch slot.
-func (c *Cluster) setupCoalRecvGroup(dst *Server, p *coalPlan) error {
-	mr, err := dst.allocEdgeMR(rdma.StaticSlotSize(p.capacity))
-	if err != nil {
-		return fmt.Errorf("coalesce group %s: %w", p.key, err)
-	}
-	ch, release, err := c.chanFor(dst, p.srcTask)
-	if err != nil {
-		return fmt.Errorf("coalesce group %s: %w", p.key, err)
-	}
-	defer release()
-	recv, err := rdma.NewCoalescedReceiver(ch, mr, 0, p.capacity)
-	if err != nil {
-		return fmt.Errorf("coalesce group %s: %w", p.key, err)
-	}
-	if dst.Mux != nil {
-		recv.SetLaneSource(dst.Mux)
-	}
-	g := &coalRecvGroup{key: p.key, recv: recv, pending: make(map[uint32][]byte)}
-	dst.Env.mu.Lock()
-	dst.Env.coalRecvGroups[p.key] = g
-	for id, e := range p.members {
-		dst.Env.coalRecvEdges[e.Key] = &coalRecvEdge{spec: e, group: g, id: uint32(id)}
-	}
-	dst.Env.mu.Unlock()
-	dst.putDesc(p.key, recv.Desc().Marshal())
-	return nil
-}
-
-// setupCoalSendGroup builds one pair's coalesced batch sender and pushes
-// the reuse-ack word back to the receiver group.
-func (c *Cluster) setupCoalSendGroup(src *Server, p *coalPlan) error {
-	ch, release, err := c.chanFor(src, p.dstTask)
-	if err != nil {
-		return fmt.Errorf("coalesce group %s: %w", p.key, err)
-	}
-	defer release()
-	descBytes, err := ch.CallRetry(edgeDescMethod, []byte(p.key),
-		rdma.TransferOpts{Deadline: rpcTimeout})
-	if err != nil {
-		return fmt.Errorf("coalesce group %s: %w", p.key, err)
-	}
-	desc, err := rdma.UnmarshalStaticSlotDesc(descBytes)
-	if err != nil {
-		return fmt.Errorf("coalesce group %s: %w", p.key, err)
-	}
-	mr, err := src.allocEdgeMR(rdma.StaticSlotSize(desc.PayloadSize) + rdma.FlagWordSize)
-	if err != nil {
-		return fmt.Errorf("coalesce group %s: %w", p.key, err)
-	}
-	sender, err := rdma.NewCoalescedSender(ch, mr, 0, desc)
-	if err != nil {
-		return fmt.Errorf("coalesce group %s: %w", p.key, err)
-	}
-	if src.Mux != nil {
-		sender.SetLaneSource(src.Mux)
-	}
-	g := &coalSendGroup{key: p.key, sender: sender, members: len(p.members), opts: src.Env.edgeOpts(p.key)}
-	src.Env.mu.Lock()
-	src.Env.coalSendGroups[p.key] = g
-	for id, e := range p.members {
-		src.Env.coalSendEdges[e.Key] = &coalSendEdge{spec: e, group: g, id: uint32(id)}
-	}
-	src.Env.mu.Unlock()
-	if err := pushBack(ch, p.key, sender.AckDesc()); err != nil {
-		return fmt.Errorf("coalesce group %s: %w", p.key, err)
-	}
-	return nil
-}
-
-// stripeLanes is how many QP lanes each striped transfer edge gets
-// (clamped the same way the transfer layer clamps TransferOpts.Stripes).
-func (c *Cluster) stripeLanes() int {
-	s := c.cfg.Transfer.Stripes
-	if s > rdma.MaxStripes {
-		s = rdma.MaxStripes
-	}
-	return s
-}
-
-// muxLanes is the per-lease lane count when QP muxing is on: the stripe
-// lane count, at least 1, clamped to the device's QPs per peer (a mux slot
-// can hand out at most one peer connection's worth of QPs).
-func (c *Cluster) muxLanes() int {
-	lanes := c.stripeLanes()
-	if lanes < 1 {
-		lanes = 1
-	}
-	qpp := c.cfg.QPsPerPeer
-	if qpp == 0 {
-		qpp = 4
-	}
-	if lanes > qpp {
-		lanes = qpp
-	}
-	return lanes
-}
-
-// chanFor resolves a channel to peer for setup-time traffic: a short mux
-// lease (released via the returned func) when muxing is on, else a direct
-// round-robin QP. Senders and receivers built on a leased channel must be
-// given the mux as their lane source before the lease is released — after
-// that the constructor channel only names the peer, and every transfer
-// re-leases live lanes per attempt.
-func (c *Cluster) chanFor(s *Server, peer string) (*rdma.Channel, func(), error) {
-	if s.Mux != nil {
-		lanes, release, err := s.Mux.AcquireLanes(peer)
-		if err != nil {
-			return nil, nil, err
-		}
-		return lanes[0], release, nil
-	}
-	ch, err := s.Dev.GetChannel(peer, s.nextQP(peer, c.cfg.QPsPerPeer))
-	if err != nil {
-		return nil, nil, err
-	}
-	return ch, func() {}, nil
-}
-
-// muxSource returns the server's mux as a lane source, or a nil interface
-// when muxing is off (a plain `s.Mux` would be a typed nil the rdma layer
-// cannot distinguish from a live source).
-func muxSource(s *Server) rdma.LaneSource {
-	if s.Mux == nil {
-		return nil
-	}
-	return s.Mux
-}
-
-// edgeTensorID derives the stable non-zero tensor identity the lossy
-// protocol tags every chunk with from the edge key. Both ends hash the
-// same key, so no extra exchange is needed.
-func edgeTensorID(key string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	id := h.Sum64()
-	if id == 0 {
-		id = 1
-	}
-	return id
-}
-
-// stagingFor returns (or creates) the shared sender staging slot for a
-// source node; fan-out edges to several destinations share it.
-func (s *Server) stagingFor(srcNode string, sig graph.Sig) (*stagingSlot, error) {
-	s.Env.mu.Lock()
-	defer s.Env.mu.Unlock()
-	if slot, ok := s.Env.stagings[srcNode]; ok {
-		return slot, nil
-	}
-	slot, err := newStagingSlot(s.Dev, sig.DType, sig.Shape)
-	if err != nil {
-		return nil, err
-	}
-	s.Env.stagings[srcNode] = slot
-	return slot, nil
-}
-
-// allocEdgeMR allocates a region scoped to the current edge-setup round and
-// records it for teardownEdges to free.
-func (s *Server) allocEdgeMR(size int) (*rdma.MemRegion, error) {
-	mr, err := s.Dev.AllocateMemRegion(size)
-	if err != nil {
-		return nil, err
-	}
-	s.descMu.Lock()
-	s.edgeMRs = append(s.edgeMRs, mr)
-	s.descMu.Unlock()
-	return mr, nil
-}
-
-func (s *Server) putDesc(key string, d []byte) {
-	s.descMu.Lock()
-	defer s.descMu.Unlock()
-	s.descs[key] = d
-}
-
-// nextQP spreads edges over the QPs to a peer in round-robin order,
-// following the paper's load-balancing guidance (§3.1).
-func (s *Server) nextQP(peer string, qpsPerPeer int) int {
-	if qpsPerPeer == 0 {
-		qpsPerPeer = 4
-	}
-	s.descMu.Lock()
-	defer s.descMu.Unlock()
-	if s.qpCounters == nil {
-		s.qpCounters = make(map[string]int)
-	}
-	idx := s.qpCounters[peer] % qpsPerPeer
-	s.qpCounters[peer]++
-	return idx
-}
-
-// setupRPCEdges builds the gRPC-baseline data path: one RPC server per
-// machine on the chosen substrate, one client per (src, dst) pair.
-func (c *Cluster) setupRPCEdges(res *analyzer.Result) error {
-	// ringCfgFor wires the server's outbound ring-send latency histogram
-	// into the transport hook (fragmentation + credit waits + retries).
-	ringCfgFor := func(srv *Server) transport.RingConfig {
-		cfg := c.cfg.RingCfg
-		h := srv.Hists.Hist(metrics.HistRingSendNs)
-		cfg.OnSend = func(bytes int, d time.Duration) { h.Record(d.Nanoseconds()) }
-		return cfg
-	}
-	listenNet := func(srv *Server) transport.Network {
-		if c.cfg.Kind == GRPCTCP {
-			return transport.TCPNetwork()
-		}
-		return transport.RingNetwork(srv.Dev, ringCfgFor(srv))
-	}
-	for _, task := range res.Tasks {
-		srv := c.servers[task]
-		l, err := listenNet(srv).Listen("")
-		if err != nil {
-			return err
-		}
-		srv.rpcSrv = rpc.NewServer(l)
-		registerPushService(srv.Env, srv.rpcSrv.Register)
-		srv.rpcSrv.Start()
-		srv.rpcAddr = srv.rpcSrv.Addr()
-	}
-	for _, e := range res.Edges {
-		src, dst := c.servers[e.SrcTask], c.servers[e.DstTask]
-		src.Env.mu.Lock()
-		_, have := src.Env.rpcClients[e.DstTask]
-		src.Env.mu.Unlock()
-		if have {
-			continue
-		}
-		var net transport.Network
-		if c.cfg.Kind == GRPCTCP {
-			net = transport.TCPNetwork()
-		} else {
-			net = transport.RingNetwork(src.Dev, ringCfgFor(src))
-		}
-		client, err := rpc.Dial(net, dst.rpcAddr)
-		if err != nil {
-			return fmt.Errorf("edge %s: dial %s: %w", e.Key, dst.rpcAddr, err)
-		}
-		src.Env.mu.Lock()
-		src.Env.rpcClients[e.DstTask] = client
-		src.Env.mu.Unlock()
-	}
-	return nil
-}
-
 // InitVariable creates a variable's backing tensor on its server, placing
 // it inside the sender staging slot when the zero-copy analysis decided the
 // variable is transferred (so weight pushes need no copy at all), and calls
@@ -848,10 +319,7 @@ func (c *Cluster) InitVariable(name string, init func(*tensor.Tensor)) error {
 		return fmt.Errorf("%w: no server for task %q", ErrSetup, node.Task())
 	}
 	var t *tensor.Tensor
-	srv.Env.mu.Lock()
-	slot, staged := srv.Env.stagings[name]
-	srv.Env.mu.Unlock()
-	if staged && c.cfg.Kind.ZeroCopy() {
+	if slot, staged := srv.stagings[name]; staged && c.cfg.Kind.ZeroCopy() {
 		t = slot.tensor
 	} else {
 		sig := node.Sig()
@@ -1041,82 +509,6 @@ func (c *Cluster) restartTask(task string) error {
 	return nil
 }
 
-// teardownEdges drops every live server's per-round edge state: operator
-// lookup maps, dynamic receivers (with their ack regions and deferred arena
-// buffers), dynamic-send scratch, and all tracked edge regions. Staging
-// slots survive — variables live in them, and §3.2 address stability only
-// has to hold within one setup round, because rebuildEdges redistributes
-// every descriptor.
-func (c *Cluster) teardownEdges() {
-	for _, srv := range c.serversSnapshot() {
-		if srv.Dev.Closed() {
-			continue
-		}
-		srv.Env.mu.Lock()
-		staticSends := srv.Env.staticSend
-		staticRecvs := srv.Env.staticRecv
-		dynRecvs := srv.Env.dynRecv
-		dynSends := srv.Env.dynSend
-		coalSends := srv.Env.coalSendGroups
-		srv.Env.staticSend = make(map[string]*staticSendState)
-		srv.Env.staticRecv = make(map[string]*staticRecvState)
-		srv.Env.dynSend = make(map[string]*dynSendState)
-		srv.Env.dynRecv = make(map[string]*dynRecvState)
-		srv.Env.coalSendGroups = make(map[string]*coalSendGroup)
-		srv.Env.coalRecvGroups = make(map[string]*coalRecvGroup)
-		srv.Env.coalSendEdges = make(map[string]*coalSendEdge)
-		srv.Env.coalRecvEdges = make(map[string]*coalRecvEdge)
-		srv.Env.mu.Unlock()
-		// A group torn down mid-batch still holds completion callbacks from
-		// the aborted step; fail them so no waiter is left parked forever.
-		for _, g := range coalSends {
-			g.failPending(fmt.Errorf("%w: coalesce group %s torn down for edge rebuild", ErrComm, g.key))
-		}
-		// A lossy sender owns a NACK block outside the edgeMR list, and a
-		// lossy receiver may still be re-posting a failed ack: Close frees
-		// the one and stops the other.
-		for _, st := range staticSends {
-			if ls, ok := st.sender.(*rdma.LossySender); ok {
-				ls.Close()
-			}
-		}
-		for _, st := range staticRecvs {
-			if lr, ok := st.recv.(*rdma.LossyReceiver); ok {
-				lr.Close()
-			}
-		}
-		for _, st := range dynRecvs {
-			st.mu.Lock()
-			pending := st.pendingFree
-			st.pendingFree = nil
-			st.mu.Unlock()
-			for _, p := range pending {
-				_ = srv.Arena.Free(p.buf)
-			}
-		}
-		for _, st := range dynSends {
-			if st.scratch != nil {
-				st.dev.FreeMemRegion(st.scratch)
-			}
-		}
-		srv.descMu.Lock()
-		mrs := srv.edgeMRs
-		srv.edgeMRs = nil
-		srv.descs = make(map[string][]byte)
-		srv.descMu.Unlock()
-		for _, mr := range mrs {
-			srv.Dev.FreeMemRegion(mr)
-		}
-	}
-}
-
-// rebuildEdges re-runs the full edge setup — receive slots, stripe lanes,
-// coalesce groups, address distribution — over the current server set.
-func (c *Cluster) rebuildEdges() error {
-	c.teardownEdges()
-	return c.setupRDMAEdges(c.result)
-}
-
 // Result exposes the partitioning outcome.
 func (c *Cluster) Result() *analyzer.Result { return c.result }
 
@@ -1168,12 +560,10 @@ func (c *Cluster) Close() {
 		rec.stop()
 	}
 	for _, srv := range c.serversSnapshot() {
-		srv.Env.mu.Lock()
-		for _, cl := range srv.Env.rpcClients {
+		for task, cl := range srv.clients {
 			cl.Close()
+			delete(srv.clients, task)
 		}
-		srv.Env.rpcClients = make(map[string]*rpc.Client)
-		srv.Env.mu.Unlock()
 		if srv.rpcSrv != nil {
 			srv.rpcSrv.Close()
 		}

@@ -40,28 +40,26 @@ type Env struct {
 	// Xfer bounds every edge transfer (deadline, retry budget, backoff).
 	// The zero value selects the rdma package defaults.
 	Xfer rdma.TransferOpts
-	// opts is Xfer with the metrics hooks wired in, built once; per-edge
-	// copies add the edge's completion hook at edge setup.
+	// opts is Xfer with the metrics hooks wired in, built once; each edge
+	// copies it and adds its completion hook at plan time.
 	opts rdma.TransferOpts
 
 	arena   *alloc.Arena
 	arenaMR *rdma.MemRegion
 
-	mu         sync.Mutex
-	staticSend map[string]*staticSendState
-	staticRecv map[string]*staticRecvState
-	dynSend    map[string]*dynSendState
-	dynRecv    map[string]*dynRecvState
-	stagings   map[string]*stagingSlot // by source node name
-	rpcClients map[string]*rpc.Client  // by destination task
-	mailboxes  map[string]*mailbox     // by edge key
-
-	// Small-message coalescing: per-peer batch groups plus the per-edge
-	// membership records the send/recv kernels look up.
-	coalSendGroups map[string]*coalSendGroup // by pair key
-	coalRecvGroups map[string]*coalRecvGroup // by pair key
-	coalSendEdges  map[string]*coalSendEdge  // by edge key
-	coalRecvEdges  map[string]*coalRecvEdge  // by edge key
+	// edges is this server's end of every cross-server edge, indexed by
+	// EdgeSpec.ID (nil where an edge does not touch this server): an op
+	// finds its state with one index, no lock and no string. Setup fills
+	// the table before any step runs over it, and nothing writes it after.
+	// teardownEdges installs a fresh table instead of mutating this one, so
+	// a late completion from an aborted step still holds valid state.
+	edges []*edge
+	// byName resolves the names that arrive off the wire (edge.desc,
+	// edge.back, tensor.push) to receive ends: edge keys, plus each
+	// coalesce group's key mapped to its first member. Built with edges.
+	byName map[string]*edge
+	// sendGroups are the coalesce batches this server stages into.
+	sendGroups []*coalSendGroup
 }
 
 func newEnv(task string, kind Kind, pol *analyzer.TracingPolicy, m *metrics.Comm,
@@ -69,18 +67,6 @@ func newEnv(task string, kind Kind, pol *analyzer.TracingPolicy, m *metrics.Comm
 	e := &Env{
 		Task: task, Kind: kind, Policy: pol, Metrics: m, Xfer: xfer,
 		arena: arena, arenaMR: arenaMR,
-		staticSend: make(map[string]*staticSendState),
-		staticRecv: make(map[string]*staticRecvState),
-		dynSend:    make(map[string]*dynSendState),
-		dynRecv:    make(map[string]*dynRecvState),
-		stagings:   make(map[string]*stagingSlot),
-		rpcClients: make(map[string]*rpc.Client),
-		mailboxes:  make(map[string]*mailbox),
-
-		coalSendGroups: make(map[string]*coalSendGroup),
-		coalRecvGroups: make(map[string]*coalRecvGroup),
-		coalSendEdges:  make(map[string]*coalSendEdge),
-		coalRecvEdges:  make(map[string]*coalRecvEdge),
 	}
 	// The hooks read e.Metrics at call time: a restarted task's Env takes
 	// over its predecessor's counters after construction.
@@ -92,6 +78,109 @@ func newEnv(task string, kind Kind, pol *analyzer.TracingPolicy, m *metrics.Comm
 	return e
 }
 
+// edgeKind is the protocol an edge runs. kindOf derives it once per edge,
+// for the op factory and for plan alike.
+type edgeKind uint8
+
+const (
+	staticEdge edgeKind = iota // §3.2 slot: payload, then the tail flag
+	lossyEdge                  // a static slot under per-chunk selective retransmit
+	dynEdge                    // §3.3 metadata write, receiver allocation, one-sided read
+	coalEdge                   // one sub-message of its task pair's coalesced batch
+	rpcEdge                    // the gRPC baselines' serialized tensor push
+)
+
+// edge is one server's end of one cross-server edge, resolved once at
+// setup. Which fields are set depends on the kind and the end; fields that
+// change while steps run have their own lock (mu here, the group's, the
+// staging slot's, the mailbox's).
+type edge struct {
+	spec analyzer.EdgeSpec
+	kind edgeKind
+	// opts is the server's transfer opts with xfer wired into OnComplete,
+	// on the ends that transfer (static, lossy and dyn send ends, dyn
+	// receive ends; a coalesced batch uses its group's).
+	opts rdma.TransferOpts
+	// sent, recvd and xfer are the edge's byte and transfer-latency
+	// histograms; an end holds only those it records (nil ones are no-ops).
+	sent, recvd, xfer *metrics.Histogram
+	// desc is a receive end's marshaled slot descriptor, which the sender
+	// fetches by name (edge.desc).
+	desc []byte
+
+	slot   *stagingSlot   // static/lossy send end: the shared source slot
+	sender staticSender   // static/lossy send end
+	recv   staticReceiver // static/lossy receive end
+
+	dynSend *rdma.DynSender
+	dev     *rdma.Device    // dyn send end: where scratch lives
+	scratch *rdma.MemRegion // dyn send end: copy-fallback payload area, grown on demand
+	dynRecv *rdma.DynReceiver
+
+	mu          sync.Mutex       // guards the dyn receive end's fields below
+	back        rdma.DynSlotDesc // the sender's scratch block (reuse ack target)
+	meta        rdma.DynMeta     // pending metadata between Poll and Compute
+	hasMeta     bool
+	pendingFree []pendingBuf // deferred arena frees, reusable two iterations later
+
+	sendGroup *coalSendGroup // coalesced send end
+	recvGroup *coalRecvGroup // coalesced receive end
+	sub       uint32         // sub-message id in the batch, by position in the group
+
+	client *rpc.Client // rpc send end, shared per destination task
+	mb     *mailbox    // rpc receive end
+}
+
+// tensorID is the non-zero identity the lossy protocol tags every chunk
+// with. Both ends derive it from the dense edge id, so no exchange is needed.
+func (e *edge) tensorID() uint64 { return uint64(e.spec.ID) + 1 }
+
+// installBack records the sender word this receive end answers into: a dyn
+// edge's scratch block (its reuse ack), a coalesce group's ack word, or a
+// lossy edge's NACK block.
+func (e *edge) installBack(back rdma.DynSlotDesc) error {
+	lr, lossy := e.recv.(*rdma.LossyReceiver)
+	switch {
+	case e.kind == dynEdge:
+		e.mu.Lock()
+		e.back = back
+		e.mu.Unlock()
+	case e.kind == coalEdge:
+		g := e.recvGroup
+		g.mu.Lock()
+		g.senderAck, g.haveAck = back, true
+		g.mu.Unlock()
+	case lossy:
+		lr.SetSenderScratch(back)
+	default:
+		return fmt.Errorf("%w: edge %q answers no sender word", ErrSetup, e.spec.Key)
+	}
+	return nil
+}
+
+// deferFree schedules a receive buffer for release and frees buffers at
+// least two iterations old — by then the synchronous training step
+// guarantees every consumer of the received tensor has finished.
+func (e *edge) deferFree(iter int, buf *alloc.Buffer, arena *alloc.Arena) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.pendingFree = append(e.pendingFree, pendingBuf{iter: iter, buf: buf})
+	keep := e.pendingFree[:0]
+	for _, p := range e.pendingFree {
+		if p.iter <= iter-2 {
+			_ = arena.Free(p.buf)
+		} else {
+			keep = append(keep, p)
+		}
+	}
+	e.pendingFree = keep
+}
+
+type pendingBuf struct {
+	iter int
+	buf  *alloc.Buffer
+}
+
 // coalSendGroup is the sender side of one peer pair's coalesced batch: all
 // below-threshold static edges to that peer stage into one slot, and the
 // last stager of an iteration flushes the batch. The mutex is held across
@@ -101,7 +190,7 @@ type coalSendGroup struct {
 	key     string
 	sender  *rdma.CoalescedSender
 	members int               // sub-messages per full batch
-	opts    rdma.TransferOpts // Env.edgeOpts(key)
+	opts    rdma.TransferOpts // with the group's transfer-latency histogram
 
 	mu      sync.Mutex
 	iter    int // iteration the staged batch belongs to
@@ -131,8 +220,9 @@ func (g *coalSendGroup) failPending(err error) {
 // slot under the lock, the slot is consumed immediately, and the reuse ack
 // is posted once per batch.
 type coalRecvGroup struct {
-	key  string
-	recv *rdma.CoalescedReceiver
+	key      string
+	recv     *rdma.CoalescedReceiver
+	capacity int // batch framing bytes for a full batch
 
 	mu        sync.Mutex
 	senderAck rdma.DynSlotDesc // pushed by the sender during setup
@@ -142,17 +232,43 @@ type coalRecvGroup struct {
 	ackErr    error             // a failed reuse ack poisons the group
 }
 
-// coalSendEdge / coalRecvEdge bind one graph edge to its group slot.
-type coalSendEdge struct {
-	spec  analyzer.EdgeSpec
-	group *coalSendGroup
-	id    uint32
-}
-
-type coalRecvEdge struct {
-	spec  analyzer.EdgeSpec
-	group *coalRecvGroup
-	id    uint32
+// poll is one member's poll under the group lock. When a batch has landed
+// it copies every sub-message out of the slot (the decoded payloads alias
+// it), consumes the slot, and returns the sender's ack word for the caller
+// to post once the lock is released. senderAck is written once at setup,
+// so the returned pointer stays valid and unchanged.
+func (g *coalRecvGroup) poll(iter int, sub uint32, m *metrics.Comm) (ready bool, ack *rdma.DynSlotDesc, err error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.ackErr != nil {
+		return false, nil, g.ackErr
+	}
+	if g.iter != iter {
+		// Payloads left over from a step that failed before every member
+		// consumed its sub-message: that batch was already acked, so drop it.
+		clear(g.pending)
+		g.iter = iter
+	}
+	if _, ok := g.pending[sub]; ok {
+		return true, nil, nil
+	}
+	if !g.recv.Poll() {
+		return false, nil, nil
+	}
+	msgs, err := g.recv.Messages()
+	if err != nil {
+		return false, nil, err
+	}
+	for _, s := range msgs {
+		g.pending[s.ID] = append([]byte(nil), s.Payload...)
+		m.AddCopy(len(s.Payload))
+	}
+	g.recv.Consume()
+	if !g.haveAck {
+		return false, nil, fmt.Errorf("%w: coalesce group %s has no sender ack descriptor", ErrComm, g.key)
+	}
+	_, ready = g.pending[sub]
+	return ready, &g.senderAck, nil
 }
 
 // stagingSlot is a sender-side registered buffer shaped like one tensor
@@ -199,62 +315,6 @@ type staticReceiver interface {
 	Consume()
 }
 
-type staticSendState struct {
-	spec   analyzer.EdgeSpec
-	slot   *stagingSlot
-	sender staticSender
-	opts   rdma.TransferOpts // Env.edgeOpts(spec.Key)
-}
-
-type staticRecvState struct {
-	spec analyzer.EdgeSpec
-	recv staticReceiver
-}
-
-type dynSendState struct {
-	spec    analyzer.EdgeSpec
-	opts    rdma.TransferOpts // Env.edgeOpts(spec.Key)
-	sender  *rdma.DynSender
-	dev     *rdma.Device
-	scratch *rdma.MemRegion // copy fallback payload area, grown on demand
-}
-
-type dynRecvState struct {
-	spec          analyzer.EdgeSpec
-	opts          rdma.TransferOpts // Env.edgeOpts(spec.Key)
-	recv          *rdma.DynReceiver
-	senderScratch rdma.DynSlotDesc
-
-	mu      sync.Mutex
-	meta    rdma.DynMeta // pending metadata between Poll and Compute
-	hasMeta bool
-	// deferred arena frees: buffers become reusable two iterations later.
-	pendingFree []pendingBuf
-}
-
-type pendingBuf struct {
-	iter int
-	buf  *alloc.Buffer
-}
-
-// deferFree schedules a receive buffer for release and frees buffers at
-// least two iterations old — by then the synchronous training step
-// guarantees every consumer of the received tensor has finished.
-func (st *dynRecvState) deferFree(iter int, buf *alloc.Buffer, env *Env) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.pendingFree = append(st.pendingFree, pendingBuf{iter: iter, buf: buf})
-	keep := st.pendingFree[:0]
-	for _, p := range st.pendingFree {
-		if p.iter <= iter-2 {
-			_ = env.arena.Free(p.buf)
-		} else {
-			keep = append(keep, p)
-		}
-	}
-	st.pendingFree = keep
-}
-
 // mailbox carries tensors for one RPC edge from the service handler to the
 // recv kernel. Poll moves an arrived item into the stash; Compute takes it.
 type mailbox struct {
@@ -286,30 +346,37 @@ func (mb *mailbox) takeStash() (mailboxItem, bool) {
 	return item, ok
 }
 
-// edgeOpts returns the server's transfer opts with the edge's
-// transfer-latency histogram wired into the completion hook. Edge setup
-// calls it once per edge and keeps the result on the edge state.
-func (e *Env) edgeOpts(key string) rdma.TransferOpts {
-	o := e.opts
-	if e.Hists != nil {
-		h := e.Hists.Family(metrics.HistEdgeXferNs).With(key)
+// edgeOpts returns the server's transfer opts with name's transfer-latency
+// histogram wired into the completion hook, and that histogram.
+func (env *Env) edgeOpts(name string) (rdma.TransferOpts, *metrics.Histogram) {
+	o := env.opts
+	h := env.Hists.Family(metrics.HistEdgeXferNs).With(name)
+	if h != nil {
 		o.OnComplete = func(bytes int, d time.Duration) { h.Record(d.Nanoseconds()) }
 	}
-	return o
+	return o, h
 }
 
 // recordSent pairs the sent-bytes counter with the edge's sent-bytes
 // histogram: same value, same call site, so histogram sums always equal the
 // counter and histogram counts always equal the message count.
-func (e *Env) recordSent(key string, n int) {
-	e.Metrics.AddSent(n)
-	e.Hists.Family(metrics.HistEdgeSentBytes).With(key).Record(int64(n))
+func (env *Env) recordSent(e *edge, n int) {
+	env.Metrics.AddSent(n)
+	e.sent.Record(int64(n))
 }
 
 // recordRecv is recordSent's receive-side twin.
-func (e *Env) recordRecv(key string, n int) {
-	e.Metrics.AddRecv(n)
-	e.Hists.Family(metrics.HistEdgeRecvBytes).With(key).Record(int64(n))
+func (env *Env) recordRecv(e *edge, n int) {
+	env.Metrics.AddRecv(n)
+	e.recvd.Record(int64(n))
+}
+
+// named resolves a name that arrived off the wire to its receive end.
+func (env *Env) named(name string) (*edge, error) {
+	if e := env.byName[name]; e != nil {
+		return e, nil
+	}
+	return nil, fmt.Errorf("%w: no receive end named %q on %s", ErrSetup, name, env.Task)
 }
 
 // FailPending fails asynchronous completions parked in this environment
@@ -319,138 +386,22 @@ func (e *Env) recordRecv(key string, n int) {
 // Config.Env) after a failed run's workers exit, which is what keeps the
 // run's in-flight drain bounded: parked waiters have no retry loop polling
 // the cancel flag on their behalf.
-func (e *Env) FailPending(cause error) {
-	e.mu.Lock()
-	groups := make([]*coalSendGroup, 0, len(e.coalSendGroups))
-	for _, g := range e.coalSendGroups {
-		groups = append(groups, g)
-	}
-	e.mu.Unlock()
-	for _, g := range groups {
-		g.failPending(e.edgeErr(g.key, fmt.Errorf("coalesce batch abandoned: %w", cause)))
+func (env *Env) FailPending(cause error) {
+	for _, g := range env.sendGroups {
+		g.failPending(env.edgeErr(g.key, fmt.Errorf("coalesce batch abandoned: %w", cause)))
 	}
 }
 
 // edgeErr classifies a transfer failure for the scheduler: an exhausted
 // retry budget becomes the typed edge timeout (counted in the metrics);
 // everything else passes through with edge context attached.
-func (e *Env) edgeErr(key string, err error) error {
+func (env *Env) edgeErr(key string, err error) error {
 	if err == nil {
 		return nil
 	}
 	if errors.Is(err, rdma.ErrTimeout) {
-		e.Metrics.AddTimeout()
-		return fmt.Errorf("%w: edge %s on %s: %w", ErrEdgeTimeout, key, e.Task, err)
+		env.Metrics.AddTimeout()
+		return fmt.Errorf("%w: edge %s on %s: %w", ErrEdgeTimeout, key, env.Task, err)
 	}
-	return fmt.Errorf("distributed: edge %s on %s: %w", key, e.Task, err)
-}
-
-func (e *Env) staticSendState(key string) (*staticSendState, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	st, ok := e.staticSend[key]
-	if !ok {
-		return nil, fmt.Errorf("%w: static send edge %q not set up on %s", ErrComm, key, e.Task)
-	}
-	return st, nil
-}
-
-func (e *Env) staticRecvState(key string) (*staticRecvState, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	st, ok := e.staticRecv[key]
-	if !ok {
-		return nil, fmt.Errorf("%w: static recv edge %q not set up on %s", ErrComm, key, e.Task)
-	}
-	return st, nil
-}
-
-func (e *Env) dynSendState(key string) (*dynSendState, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	st, ok := e.dynSend[key]
-	if !ok {
-		return nil, fmt.Errorf("%w: dynamic send edge %q not set up on %s", ErrComm, key, e.Task)
-	}
-	return st, nil
-}
-
-func (e *Env) dynRecvState(key string) (*dynRecvState, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	st, ok := e.dynRecv[key]
-	if !ok {
-		return nil, fmt.Errorf("%w: dynamic recv edge %q not set up on %s", ErrComm, key, e.Task)
-	}
-	return st, nil
-}
-
-func (e *Env) coalSendEdge(key string) (*coalSendEdge, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	m, ok := e.coalSendEdges[key]
-	if !ok {
-		return nil, fmt.Errorf("%w: coalesced send edge %q not set up on %s", ErrComm, key, e.Task)
-	}
-	return m, nil
-}
-
-func (e *Env) coalRecvEdge(key string) (*coalRecvEdge, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	m, ok := e.coalRecvEdges[key]
-	if !ok {
-		return nil, fmt.Errorf("%w: coalesced recv edge %q not set up on %s", ErrComm, key, e.Task)
-	}
-	return m, nil
-}
-
-// installBack records the sender word a receiver answers into, on
-// whichever receive state is registered under key: a dynamic edge's
-// scratch block (its reuse ack), a coalesce group's ack word, or a lossy
-// edge's NACK block.
-func (e *Env) installBack(key string, back rdma.DynSlotDesc) error {
-	e.mu.Lock()
-	dyn, group, static := e.dynRecv[key], e.coalRecvGroups[key], e.staticRecv[key]
-	e.mu.Unlock()
-	switch {
-	case dyn != nil:
-		dyn.mu.Lock()
-		dyn.senderScratch = back
-		dyn.mu.Unlock()
-	case group != nil:
-		group.mu.Lock()
-		group.senderAck, group.haveAck = back, true
-		group.mu.Unlock()
-	case static != nil:
-		lr, ok := static.recv.(*rdma.LossyReceiver)
-		if !ok {
-			return fmt.Errorf("%w: edge %q on %s is not lossy", ErrSetup, key, e.Task)
-		}
-		lr.SetSenderScratch(back)
-	default:
-		return fmt.Errorf("%w: no receiver for edge %q on %s", ErrSetup, key, e.Task)
-	}
-	return nil
-}
-
-func (e *Env) client(task string) (*rpc.Client, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	c, ok := e.rpcClients[task]
-	if !ok {
-		return nil, fmt.Errorf("%w: no RPC client for task %q on %s", ErrComm, task, e.Task)
-	}
-	return c, nil
-}
-
-func (e *Env) mailbox(key string) *mailbox {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	mb, ok := e.mailboxes[key]
-	if !ok {
-		mb = newMailbox()
-		e.mailboxes[key] = mb
-	}
-	return mb
+	return fmt.Errorf("distributed: edge %s on %s: %w", key, env.Task, err)
 }

@@ -346,7 +346,7 @@ func TestLossyTensorBlackholeFailsTyped(t *testing.T) {
 		var target uint64
 		for _, e := range cl.Result().Edges {
 			if e.Sig.Static {
-				target = edgeTensorID(e.Key)
+				target = cl.Server(e.DstTask).Env.edges[e.ID].tensorID()
 				break
 			}
 		}
@@ -437,7 +437,7 @@ func TestLossyStepAbortThenRecover(t *testing.T) {
 	var target uint64
 	for _, e := range cl.Result().Edges {
 		if e.Sig.Static {
-			target = edgeTensorID(e.Key)
+			target = cl.Server(e.DstTask).Env.edges[e.ID].tensorID()
 			break
 		}
 	}

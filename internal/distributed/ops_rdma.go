@@ -13,35 +13,79 @@ import (
 // tensors (§3.2, §4) and RdmaSendDyn/RdmaRecvDyn for dynamically allocated
 // ones (§3.3). The recv operators use the polling-async execution mode.
 
-func commEnv(ctx *graph.Context) (*Env, error) {
+// edgeOp is what every send/recv op shares: its edge's spec, the name the
+// graph shows, and the signature rule — a send forwards its one input, a
+// recv (no inputs) produces the edge's tensor.
+type edgeOp struct {
+	spec   analyzer.EdgeSpec
+	name   string
+	inputs int // 1 for a send, 0 for a recv
+}
+
+func (op *edgeOp) Name() string    { return op.name }
+func (op *edgeOp) EdgeKey() string { return op.spec.Key }
+
+func (op *edgeOp) InferSig(in []graph.Sig) (graph.Sig, error) {
+	if len(in) != op.inputs {
+		return graph.Sig{}, fmt.Errorf("%s: %d inputs, want %d: %w", op.name, len(in), op.inputs, graph.ErrBadGraph)
+	}
+	if op.inputs == 1 {
+		return in[0], nil
+	}
+	return op.spec.Sig, nil
+}
+
+// edge resolves the op's end of its edge on the running server: one index
+// by the dense edge id, no lock and no string.
+func (op *edgeOp) edge(ctx *graph.Context) (*Env, *edge, error) {
 	env, ok := ctx.Env.(*Env)
 	if !ok || env == nil {
-		return nil, fmt.Errorf("%w: kernel run without a communication Env", ErrComm)
+		return nil, nil, fmt.Errorf("%w: kernel run without a communication Env", ErrComm)
 	}
-	return env, nil
+	if id := op.spec.ID; id < len(env.edges) && env.edges[id] != nil {
+		return env, env.edges[id], nil
+	}
+	return nil, nil, fmt.Errorf("%w: edge %q not set up on %s", ErrComm, op.spec.Key, env.Task)
+}
+
+// kindOf is the protocol an edge runs under cfg. The op factory and plan
+// both derive it here, so an edge's ops and its state never disagree.
+func kindOf(cfg Config, spec analyzer.EdgeSpec) edgeKind {
+	switch {
+	case cfg.Kind.UsesRPC():
+		return rpcEdge
+	case cfg.Transfer.CoalesceThreshold > 0 && spec.Sig.Static && spec.Sig.ByteSize() < cfg.Transfer.CoalesceThreshold:
+		return coalEdge
+	case !spec.Sig.Static:
+		return dynEdge
+	case cfg.LossyFabric:
+		return lossyEdge
+	}
+	return staticEdge
+}
+
+func commFactory(cfg Config) analyzer.CommFactory {
+	return func(spec analyzer.EdgeSpec) (graph.Op, graph.Op, error) {
+		send := func(name string) edgeOp { return edgeOp{spec: spec, name: name, inputs: 1} }
+		recv := func(name string) edgeOp { return edgeOp{spec: spec, name: name} }
+		switch kindOf(cfg, spec) {
+		case rpcEdge:
+			return &rpcSendOp{send("RPCSend")}, &rpcRecvOp{recv("RPCRecv")}, nil
+		case coalEdge:
+			return &coalescedSendOp{send("CoalescedSend")}, &coalescedRecvOp{recv("CoalescedRecv")}, nil
+		case dynEdge:
+			return &rdmaSendDynOp{send("RdmaSendDyn")}, &rdmaRecvDynOp{recv("RdmaRecvDyn")}, nil
+		}
+		return &rdmaSendOp{send("RdmaSend")}, &rdmaRecvOp{recv("RdmaRecv")}, nil
+	}
 }
 
 // --- RdmaSend (static placement) ---
 
-type rdmaSendOp struct{ spec analyzer.EdgeSpec }
-
-func (op *rdmaSendOp) Name() string    { return "RdmaSend" }
-func (op *rdmaSendOp) EdgeKey() string { return op.spec.Key }
-
-func (op *rdmaSendOp) InferSig(in []graph.Sig) (graph.Sig, error) {
-	if err := wantEdgeInput("RdmaSend", in, 1); err != nil {
-		return graph.Sig{}, err
-	}
-	return in[0], nil
-}
+type rdmaSendOp struct{ edgeOp }
 
 func (op *rdmaSendOp) ComputeAsync(ctx *graph.Context, done func(error)) {
-	env, err := commEnv(ctx)
-	if err != nil {
-		done(err)
-		return
-	}
-	st, err := env.staticSendState(op.spec.Key)
+	env, e, err := op.edge(ctx)
 	if err != nil {
 		done(err)
 		return
@@ -65,18 +109,18 @@ func (op *rdmaSendOp) ComputeAsync(ctx *graph.Context, done func(error)) {
 	// edges sharing the staging cannot clobber bytes mid-flight.
 	complete := done
 	var payload []byte
-	if &in.Bytes()[0] == &st.slot.tensor.Bytes()[0] {
+	if &in.Bytes()[0] == &e.slot.tensor.Bytes()[0] {
 		env.Metrics.AddZeroCopy()
 	} else {
-		st.slot.sendMu.Lock()
+		e.slot.sendMu.Lock()
 		payload = in.Bytes()
 		env.Metrics.AddCopy(in.ByteSize())
 		complete = func(err error) {
-			st.slot.sendMu.Unlock()
+			e.slot.sendMu.Unlock()
 			done(err)
 		}
 	}
-	env.recordSent(op.spec.Key, rdma.StaticSlotSize(op.spec.Sig.ByteSize()))
+	env.recordSent(e, rdma.StaticSlotSize(op.spec.Sig.ByteSize()))
 	if rdma.EffectiveStripes(op.spec.Sig.ByteSize(), env.Xfer.Stripes) > 1 {
 		env.Metrics.AddStripedTransfer()
 	}
@@ -86,94 +130,57 @@ func (op *rdmaSendOp) ComputeAsync(ctx *graph.Context, done func(error)) {
 	// from a backoff timer, so no goroutine waits on the wire. The cancel
 	// flag rides along so the retry dies with the run — a re-send landing
 	// after an abort would clobber the receiver's slot mid-recovery.
-	opts := st.opts
+	opts := e.opts
 	opts.Canceled = ctx.Canceled
-	st.sender.SendRetryFromAsync(payload, opts, func(err error) {
+	e.sender.SendRetryFromAsync(payload, opts, func(err error) {
 		complete(env.edgeErr(op.spec.Key, err))
 	})
 }
 
 // --- RdmaRecv (static placement, polling-async) ---
 
-type rdmaRecvOp struct{ spec analyzer.EdgeSpec }
-
-func (op *rdmaRecvOp) Name() string    { return "RdmaRecv" }
-func (op *rdmaRecvOp) EdgeKey() string { return op.spec.Key }
-
-func (op *rdmaRecvOp) InferSig(in []graph.Sig) (graph.Sig, error) {
-	if err := wantEdgeInput("RdmaRecv", in, 0); err != nil {
-		return graph.Sig{}, err
-	}
-	return op.spec.Sig, nil
-}
+type rdmaRecvOp struct{ edgeOp }
 
 func (op *rdmaRecvOp) Poll(ctx *graph.Context) (bool, error) {
-	env, err := commEnv(ctx)
+	_, e, err := op.edge(ctx)
 	if err != nil {
 		return false, err
 	}
-	st, err := env.staticRecvState(op.spec.Key)
-	if err != nil {
-		return false, err
-	}
-	return st.recv.Poll(), nil
+	return e.recv.Poll(), nil
 }
 
 func (op *rdmaRecvOp) Compute(ctx *graph.Context) error {
-	env, err := commEnv(ctx)
-	if err != nil {
-		return err
-	}
-	st, err := env.staticRecvState(op.spec.Key)
+	env, e, err := op.edge(ctx)
 	if err != nil {
 		return err
 	}
 	// Zero-copy receive: the output tensor aliases the preallocated slot.
-	t, err := tensor.FromBytes(op.spec.Sig.DType, op.spec.Sig.Shape, st.recv.Payload())
+	t, err := tensor.FromBytes(op.spec.Sig.DType, op.spec.Sig.Shape, e.recv.Payload())
 	if err != nil {
 		return err
 	}
-	st.recv.Consume()
-	env.recordRecv(op.spec.Key, t.ByteSize())
+	e.recv.Consume()
+	env.recordRecv(e, t.ByteSize())
 	ctx.Output = t
 	return nil
 }
 
 // --- RdmaSendDyn (dynamic allocation) ---
 
-type rdmaSendDynOp struct{ spec analyzer.EdgeSpec }
-
-func (op *rdmaSendDynOp) Name() string    { return "RdmaSendDyn" }
-func (op *rdmaSendDynOp) EdgeKey() string { return op.spec.Key }
-
-func (op *rdmaSendDynOp) InferSig(in []graph.Sig) (graph.Sig, error) {
-	if err := wantEdgeInput("RdmaSendDyn", in, 1); err != nil {
-		return graph.Sig{}, err
-	}
-	return in[0], nil
-}
+type rdmaSendDynOp struct{ edgeOp }
 
 // Poll defers the send until the receiver acked the previous iteration's
 // transfer, keeping the scheduler free for other work meanwhile.
 func (op *rdmaSendDynOp) Poll(ctx *graph.Context) (bool, error) {
-	env, err := commEnv(ctx)
+	_, e, err := op.edge(ctx)
 	if err != nil {
 		return false, err
 	}
-	st, err := env.dynSendState(op.spec.Key)
-	if err != nil {
-		return false, err
-	}
-	return st.sender.PollReusable(), nil
+	return e.dynSend.PollReusable(), nil
 }
 
 func (op *rdmaSendDynOp) ComputeAsync(ctx *graph.Context, done func(error)) {
-	env, err := commEnv(ctx)
-	if err != nil {
-		done(err)
-		return
-	}
-	st, err := env.dynSendState(op.spec.Key)
+	env, e, err := op.edge(ctx)
 	if err != nil {
 		done(err)
 		return
@@ -195,21 +202,21 @@ func (op *rdmaSendDynOp) ComputeAsync(ctx *graph.Context, done func(error)) {
 		env.Metrics.AddZeroCopy()
 	} else {
 		// Copy fallback into the per-edge scratch region.
-		if st.scratch == nil || st.scratch.Size() < in.ByteSize() {
-			if st.scratch != nil {
-				st.dev.FreeMemRegion(st.scratch)
+		if e.scratch == nil || e.scratch.Size() < in.ByteSize() {
+			if e.scratch != nil {
+				e.dev.FreeMemRegion(e.scratch)
 			}
-			st.scratch, err = st.dev.AllocateMemRegion(in.ByteSize())
+			e.scratch, err = e.dev.AllocateMemRegion(in.ByteSize())
 			if err != nil {
 				done(err)
 				return
 			}
 		}
-		copy(st.scratch.Bytes(), in.Bytes())
+		copy(e.scratch.Bytes(), in.Bytes())
 		env.Metrics.AddCopy(in.ByteSize())
-		payloadMR, payloadOff = st.scratch, 0
+		payloadMR, payloadOff = e.scratch, 0
 	}
-	env.recordSent(op.spec.Key, in.ByteSize()+rdma.DynMetaSize)
+	env.recordSent(e, in.ByteSize()+rdma.DynMetaSize)
 	env.Metrics.AddDynTransfer()
 	ctx.Output = in
 	size := in.ByteSize()
@@ -217,60 +224,41 @@ func (op *rdmaSendDynOp) ComputeAsync(ctx *graph.Context, done func(error)) {
 	// Retried from its completions like rdmaSendOp's send. ErrBusy from a
 	// not-yet-acked previous transfer is also retried: the ack may just be
 	// in flight behind an injected delay.
-	opts := st.opts
+	opts := e.opts
 	opts.Canceled = ctx.Canceled
-	st.sender.SendRetryAsync(payloadMR, payloadOff, size, dt, dims, opts, func(err error) {
+	e.dynSend.SendRetryAsync(payloadMR, payloadOff, size, dt, dims, opts, func(err error) {
 		done(env.edgeErr(op.spec.Key, err))
 	})
 }
 
 // --- RdmaRecvDyn (dynamic allocation, polling-async) ---
 
-type rdmaRecvDynOp struct{ spec analyzer.EdgeSpec }
-
-func (op *rdmaRecvDynOp) Name() string    { return "RdmaRecvDyn" }
-func (op *rdmaRecvDynOp) EdgeKey() string { return op.spec.Key }
-
-func (op *rdmaRecvDynOp) InferSig(in []graph.Sig) (graph.Sig, error) {
-	if err := wantEdgeInput("RdmaRecvDyn", in, 0); err != nil {
-		return graph.Sig{}, err
-	}
-	return op.spec.Sig, nil
-}
+type rdmaRecvDynOp struct{ edgeOp }
 
 func (op *rdmaRecvDynOp) Poll(ctx *graph.Context) (bool, error) {
-	env, err := commEnv(ctx)
+	_, e, err := op.edge(ctx)
 	if err != nil {
 		return false, err
 	}
-	st, err := env.dynRecvState(op.spec.Key)
-	if err != nil {
-		return false, err
-	}
-	meta, ok := st.recv.Poll()
+	meta, ok := e.dynRecv.Poll()
 	if ok {
-		st.mu.Lock()
-		st.meta, st.hasMeta = meta, true
-		st.mu.Unlock()
+		e.mu.Lock()
+		e.meta, e.hasMeta = meta, true
+		e.mu.Unlock()
 	}
 	return ok, nil
 }
 
 func (op *rdmaRecvDynOp) ComputeAsync(ctx *graph.Context, done func(error)) {
-	env, err := commEnv(ctx)
+	env, e, err := op.edge(ctx)
 	if err != nil {
 		done(err)
 		return
 	}
-	st, err := env.dynRecvState(op.spec.Key)
-	if err != nil {
-		done(err)
-		return
-	}
-	st.mu.Lock()
-	meta, ok := st.meta, st.hasMeta
-	st.hasMeta = false
-	st.mu.Unlock()
+	e.mu.Lock()
+	meta, ok, back := e.meta, e.hasMeta, e.back
+	e.hasMeta = false
+	e.mu.Unlock()
 	if !ok {
 		done(fmt.Errorf("%w: RdmaRecvDyn scheduled without metadata", ErrComm))
 		return
@@ -292,34 +280,24 @@ func (op *rdmaRecvDynOp) ComputeAsync(ctx *graph.Context, done func(error)) {
 		done(fmt.Errorf("%w: edge %s receive allocation: %v", ErrComm, op.spec.Key, err))
 		return
 	}
-	st.deferFree(ctx.Iter, buf, env)
+	e.deferFree(ctx.Iter, buf, env.arena)
 	out, err := tensor.FromBytes(dt, shape, buf.Data)
 	if err != nil {
 		done(err)
 		return
 	}
-	env.recordRecv(op.spec.Key, int(meta.PayloadSize))
+	env.recordRecv(e, int(meta.PayloadSize))
 	if rdma.EffectiveStripes(int(meta.PayloadSize), env.Xfer.Stripes) > 1 {
 		env.Metrics.AddStripedTransfer()
 	}
-	st.mu.Lock()
-	scratch := st.senderScratch
-	st.mu.Unlock()
 	// done fires once the payload read AND the reuse ack completed, each
 	// retried within the budget from its own completions and timers.
-	opts := st.opts
+	opts := e.opts
 	opts.Canceled = ctx.Canceled
-	st.recv.FetchRetryAsync(meta, scratch, env.arenaMR, buf.Off, opts, func(err error) {
+	e.dynRecv.FetchRetryAsync(meta, back, env.arenaMR, buf.Off, opts, func(err error) {
 		if err == nil {
 			ctx.Output = out
 		}
 		done(env.edgeErr(op.spec.Key, err))
 	})
-}
-
-func wantEdgeInput(name string, in []graph.Sig, n int) error {
-	if len(in) != n {
-		return fmt.Errorf("%s: %d inputs, want %d: %w", name, len(in), n, graph.ErrBadGraph)
-	}
-	return nil
 }

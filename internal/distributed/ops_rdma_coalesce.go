@@ -3,7 +3,6 @@ package distributed
 import (
 	"fmt"
 
-	"repro/internal/analyzer"
 	"repro/internal/graph"
 	"repro/internal/rdma"
 	"repro/internal/tensor"
@@ -19,25 +18,10 @@ import (
 
 // --- CoalescedSend ---
 
-type coalescedSendOp struct{ spec analyzer.EdgeSpec }
-
-func (op *coalescedSendOp) Name() string    { return "CoalescedSend" }
-func (op *coalescedSendOp) EdgeKey() string { return op.spec.Key }
-
-func (op *coalescedSendOp) InferSig(in []graph.Sig) (graph.Sig, error) {
-	if err := wantEdgeInput("CoalescedSend", in, 1); err != nil {
-		return graph.Sig{}, err
-	}
-	return in[0], nil
-}
+type coalescedSendOp struct{ edgeOp }
 
 func (op *coalescedSendOp) ComputeAsync(ctx *graph.Context, done func(error)) {
-	env, err := commEnv(ctx)
-	if err != nil {
-		done(err)
-		return
-	}
-	m, err := env.coalSendEdge(op.spec.Key)
+	env, e, err := op.edge(ctx)
 	if err != nil {
 		done(err)
 		return
@@ -49,9 +33,9 @@ func (op *coalescedSendOp) ComputeAsync(ctx *graph.Context, done func(error)) {
 		return
 	}
 	ctx.Output = in
-	env.recordSent(op.spec.Key, wire.SubMsgSize(in.ByteSize()))
+	env.recordSent(e, wire.SubMsgSize(in.ByteSize()))
 	env.Metrics.AddCopy(in.ByteSize()) // staging into the batch is a copy
-	g := m.group
+	g := e.sendGroup
 	// Staging and the flush run off the scheduler worker: the group lock is
 	// held across the blocking flush, so an earlier iteration's in-flight
 	// batch write blocks the next iteration's stagers instead of racing them.
@@ -92,7 +76,7 @@ func (op *coalescedSendOp) ComputeAsync(ctx *graph.Context, done func(error)) {
 			g.iter = ctx.Iter
 			g.sender.Reset()
 		}
-		if err := g.sender.Stage(m.id, in.Bytes()); err != nil {
+		if err := g.sender.Stage(e.sub, in.Bytes()); err != nil {
 			g.mu.Unlock()
 			done(env.edgeErr(op.spec.Key, err))
 			return
@@ -119,91 +103,49 @@ func (op *coalescedSendOp) ComputeAsync(ctx *graph.Context, done func(error)) {
 
 // --- CoalescedRecv (polling-async) ---
 
-type coalescedRecvOp struct{ spec analyzer.EdgeSpec }
-
-func (op *coalescedRecvOp) Name() string    { return "CoalescedRecv" }
-func (op *coalescedRecvOp) EdgeKey() string { return op.spec.Key }
-
-func (op *coalescedRecvOp) InferSig(in []graph.Sig) (graph.Sig, error) {
-	if err := wantEdgeInput("CoalescedRecv", in, 0); err != nil {
-		return graph.Sig{}, err
-	}
-	return op.spec.Sig, nil
-}
+type coalescedRecvOp struct{ edgeOp }
 
 func (op *coalescedRecvOp) Poll(ctx *graph.Context) (bool, error) {
-	env, err := commEnv(ctx)
+	env, e, err := op.edge(ctx)
 	if err != nil {
 		return false, err
 	}
-	m, err := env.coalRecvEdge(op.spec.Key)
-	if err != nil {
-		return false, err
-	}
-	g := m.group
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.ackErr != nil {
-		return false, env.edgeErr(g.key, g.ackErr)
-	}
-	if g.iter != ctx.Iter {
-		// Payloads left over from a step that failed before every member
-		// consumed its sub-message: that batch was already acked, so drop it.
-		clear(g.pending)
-		g.iter = ctx.Iter
-	}
-	if _, ok := g.pending[m.id]; ok {
-		return true, nil
-	}
-	if !g.recv.Poll() {
-		return false, nil
-	}
-	// A batch landed: copy every sub-message out of the slot (the decoded
-	// payloads alias it), release the slot, and ack the sender once so it can
-	// flush the next batch while these payloads are consumed.
-	msgs, err := g.recv.Messages()
+	g := e.recvGroup
+	ready, ack, err := g.poll(ctx.Iter, e.sub, env.Metrics)
 	if err != nil {
 		return false, env.edgeErr(g.key, err)
 	}
-	for _, sub := range msgs {
-		g.pending[sub.ID] = append([]byte(nil), sub.Payload...)
+	if ack != nil {
+		// A batch landed and was copied out: ack the sender once, so it can
+		// flush the next batch while these payloads are consumed. Posted
+		// after poll released the group lock, because fin may fire before
+		// AckRetryAsync returns. The ack is deliberately NOT wired to
+		// ctx.Canceled: it must complete even if this iteration aborts,
+		// because it is what marks the sender's batch slot reusable for the
+		// next iteration. Canceling it on a mere step abort would set ackErr
+		// — which is never cleared — and poison the group forever on a
+		// healthy fabric; a genuinely dead fabric is still bounded by the
+		// transfer deadline in env.opts.
+		g.recv.AckRetryAsync(*ack, env.opts, func(err error) {
+			if err != nil {
+				g.mu.Lock()
+				g.ackErr = err
+				g.mu.Unlock()
+			}
+		})
 	}
-	g.recv.Consume()
-	if !g.haveAck {
-		return false, fmt.Errorf("%w: coalesce group %s has no sender ack descriptor", ErrComm, g.key)
-	}
-	ack := g.senderAck
-	// The ack is deliberately NOT wired to ctx.Canceled: it must complete
-	// even if this iteration aborts, because it is what marks the sender's
-	// batch slot reusable for the next iteration. Canceling it on a mere
-	// step abort would set ackErr — which is never cleared — and poison the
-	// group forever on a healthy fabric; a genuinely dead fabric is still
-	// bounded by the transfer deadline in ackOpts.
-	ackOpts := env.opts
-	go func() {
-		if err := g.recv.AckRetry(ack, ackOpts); err != nil {
-			g.mu.Lock()
-			g.ackErr = err
-			g.mu.Unlock()
-		}
-	}()
-	_, ok := g.pending[m.id]
-	return ok, nil
+	return ready, nil
 }
 
 func (op *coalescedRecvOp) Compute(ctx *graph.Context) error {
-	env, err := commEnv(ctx)
+	env, e, err := op.edge(ctx)
 	if err != nil {
 		return err
 	}
-	m, err := env.coalRecvEdge(op.spec.Key)
-	if err != nil {
-		return err
-	}
-	g := m.group
+	g := e.recvGroup
 	g.mu.Lock()
-	payload, ok := g.pending[m.id]
-	delete(g.pending, m.id)
+	payload, ok := g.pending[e.sub]
+	delete(g.pending, e.sub)
 	g.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: CoalescedRecv scheduled without its sub-message (edge %s)",
@@ -213,7 +155,7 @@ func (op *coalescedRecvOp) Compute(ctx *graph.Context) error {
 	if err != nil {
 		return err
 	}
-	env.recordRecv(op.spec.Key, len(payload))
+	env.recordRecv(e, len(payload))
 	ctx.Output = t
 	return nil
 }

@@ -3,7 +3,6 @@ package distributed
 import (
 	"fmt"
 
-	"repro/internal/analyzer"
 	"repro/internal/graph"
 	"repro/internal/rdma"
 	"repro/internal/rpc"
@@ -22,25 +21,10 @@ const pushMethod = "tensor.push"
 
 // --- RPCSend ---
 
-type rpcSendOp struct{ spec analyzer.EdgeSpec }
-
-func (op *rpcSendOp) Name() string    { return "RPCSend" }
-func (op *rpcSendOp) EdgeKey() string { return op.spec.Key }
-
-func (op *rpcSendOp) InferSig(in []graph.Sig) (graph.Sig, error) {
-	if err := wantEdgeInput("RPCSend", in, 1); err != nil {
-		return graph.Sig{}, err
-	}
-	return in[0], nil
-}
+type rpcSendOp struct{ edgeOp }
 
 func (op *rpcSendOp) ComputeAsync(ctx *graph.Context, done func(error)) {
-	env, err := commEnv(ctx)
-	if err != nil {
-		done(err)
-		return
-	}
-	client, err := env.client(op.spec.DstTask)
+	env, e, err := op.edge(ctx)
 	if err != nil {
 		done(err)
 		return
@@ -60,7 +44,7 @@ func (op *rpcSendOp) ComputeAsync(ctx *graph.Context, done func(error)) {
 	enc := msg.Marshal() // serialization: copies the payload
 	env.Metrics.AddSerialized(len(enc))
 	env.Metrics.AddCopy(in.ByteSize())
-	env.recordSent(op.spec.Key, len(enc))
+	env.recordSent(e, len(enc))
 	ctx.Output = in
 	// The unary call blocks; run it off the scheduler worker. Don't push at
 	// all once the iteration is dead: a stale push landing in the receiver's
@@ -76,31 +60,21 @@ func (op *rpcSendOp) ComputeAsync(ctx *graph.Context, done func(error)) {
 				ErrComm, op.spec.Key, rdma.ErrCanceled))
 			return
 		}
-		_, err := client.Call(pushMethod, enc)
+		_, err := e.client.Call(pushMethod, enc)
 		done(err)
 	}()
 }
 
 // --- RPCRecv (polls the edge mailbox) ---
 
-type rpcRecvOp struct{ spec analyzer.EdgeSpec }
-
-func (op *rpcRecvOp) Name() string    { return "RPCRecv" }
-func (op *rpcRecvOp) EdgeKey() string { return op.spec.Key }
-
-func (op *rpcRecvOp) InferSig(in []graph.Sig) (graph.Sig, error) {
-	if err := wantEdgeInput("RPCRecv", in, 0); err != nil {
-		return graph.Sig{}, err
-	}
-	return op.spec.Sig, nil
-}
+type rpcRecvOp struct{ edgeOp }
 
 func (op *rpcRecvOp) Poll(ctx *graph.Context) (bool, error) {
-	env, err := commEnv(ctx)
+	_, e, err := op.edge(ctx)
 	if err != nil {
 		return false, err
 	}
-	mb := env.mailbox(op.spec.Key)
+	mb := e.mb
 	for {
 		select {
 		case item := <-mb.ch:
@@ -123,22 +97,21 @@ func (op *rpcRecvOp) Poll(ctx *graph.Context) (bool, error) {
 }
 
 func (op *rpcRecvOp) Compute(ctx *graph.Context) error {
-	env, err := commEnv(ctx)
+	env, e, err := op.edge(ctx)
 	if err != nil {
 		return err
 	}
-	mb := env.mailbox(op.spec.Key)
-	item, ok := mb.takeStash()
+	item, ok := e.mb.takeStash()
 	if !ok {
 		return fmt.Errorf("%w: RPCRecv scheduled without a message", ErrComm)
 	}
-	env.recordRecv(op.spec.Key, item.t.ByteSize())
+	env.recordRecv(e, item.t.ByteSize())
 	ctx.Output = item.t
 	return nil
 }
 
 // registerPushService installs the tensor-push handler on a server's RPC
-// server, routing messages into per-edge mailboxes.
+// server, routing messages into per-edge mailboxes by edge name.
 func registerPushService(env *Env, register func(method string, h rpc.Handler)) {
 	register(pushMethod, func(req []byte) ([]byte, error) {
 		var msg wire.TensorMessage
@@ -156,8 +129,11 @@ func registerPushService(env *Env, register func(method string, h rpc.Handler)) 
 		if err != nil {
 			return nil, err
 		}
-		mb := env.mailbox(msg.Name)
-		mb.ch <- mailboxItem{seq: int(msg.Seq), t: t}
+		e, err := env.named(msg.Name)
+		if err != nil {
+			return nil, err
+		}
+		e.mb.ch <- mailboxItem{seq: int(msg.Seq), t: t}
 		return nil, nil
 	})
 }

@@ -280,10 +280,7 @@ func (c *Cluster) restoreTask(task string, snap []byte) error {
 		func(name string, dt tensor.DType, shape tensor.Shape) (*tensor.Tensor, error) {
 			if node, err := c.result.Graph.Node(name); err == nil &&
 				graph.IsVariable(node) && c.cfg.Kind.ZeroCopy() {
-				srv.Env.mu.Lock()
-				slot, staged := srv.Env.stagings[name]
-				srv.Env.mu.Unlock()
-				if staged {
+				if slot, staged := srv.stagings[name]; staged {
 					return slot.tensor, nil
 				}
 			}

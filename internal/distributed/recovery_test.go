@@ -182,9 +182,7 @@ func TestLoadCheckpointRestoresRegisteredStorage(t *testing.T) {
 	// slot; identity against the slot pins "registered storage", not just
 	// "same tensor as before".
 	srv := cl.Server("ps0")
-	srv.Env.mu.Lock()
-	slot, staged := srv.Env.stagings["w"]
-	srv.Env.mu.Unlock()
+	slot, staged := srv.stagings["w"]
 	if !staged {
 		t.Fatal("w has no staging slot on ps0")
 	}

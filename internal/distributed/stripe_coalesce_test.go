@@ -4,6 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,12 +17,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// runTransferTraining is runPSChaosTraining with a configurable PS count:
-// psCount=1 places both variables on ps0, so the per-pair coalesce groups
-// carry multiple sub-messages per batch. Seeds match the other helpers, so
-// runs with equal psCount are bit-comparable across transfer configs.
-func runTransferTraining(t *testing.T, cfg Config, psCount, iters int,
-	afterLaunch func(*Cluster)) ([]float32, []float32, []float32, map[string]metrics.CommSnapshot, error) {
+// launchTransferTraining launches runTransferTraining's cluster with its
+// variables initialized and returns it with a step function that reports
+// the mean worker loss. The caller closes the cluster.
+func launchTransferTraining(t *testing.T, cfg Config, psCount int) (*Cluster, func(iter int) (float32, error)) {
 	t.Helper()
 	const workers, batch, in, classes = 2, 8, 12, 4
 	b, workerTasks := buildPSTraining(t, workers, psCount, batch, in, classes, 0.2)
@@ -27,7 +28,6 @@ func runTransferTraining(t *testing.T, cfg Config, psCount, iters int,
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
 	rng := rand.New(rand.NewSource(99))
 	if err := cl.InitVariable("w", func(tt *tensor.Tensor) { tensor.GlorotInit(tt, rng) }); err != nil {
 		t.Fatal(err)
@@ -49,20 +49,38 @@ func runTransferTraining(t *testing.T, cfg Config, psCount, iters int,
 		}
 		fetches[task] = []string{fmt.Sprintf("loss%d", k)}
 	}
-	if afterLaunch != nil {
-		afterLaunch(cl)
-	}
-	var losses []float32
-	for iter := 0; iter < iters; iter++ {
+	return cl, func(iter int) (float32, error) {
 		out, err := cl.Step(iter, feeds, fetches)
 		if err != nil {
-			return losses, nil, nil, cl.MetricsSnapshot(), err
+			return 0, err
 		}
 		var sum float32
 		for k, task := range workerTasks {
 			sum += out[task][fmt.Sprintf("loss%d", k)].Float32s()[0]
 		}
-		losses = append(losses, sum/float32(workers))
+		return sum / workers, nil
+	}
+}
+
+// runTransferTraining is runPSChaosTraining with a configurable PS count:
+// psCount=1 places both variables on ps0, so the per-pair coalesce groups
+// carry multiple sub-messages per batch. Seeds match the other helpers, so
+// runs with equal psCount are bit-comparable across transfer configs.
+func runTransferTraining(t *testing.T, cfg Config, psCount, iters int,
+	afterLaunch func(*Cluster)) ([]float32, []float32, []float32, map[string]metrics.CommSnapshot, error) {
+	t.Helper()
+	cl, step := launchTransferTraining(t, cfg, psCount)
+	defer cl.Close()
+	if afterLaunch != nil {
+		afterLaunch(cl)
+	}
+	var losses []float32
+	for iter := 0; iter < iters; iter++ {
+		loss, err := step(iter)
+		if err != nil {
+			return losses, nil, nil, cl.MetricsSnapshot(), err
+		}
+		losses = append(losses, loss)
 	}
 	wT, err := cl.VarTensor("w")
 	if err != nil {
@@ -160,6 +178,123 @@ func TestStripedCoalescedTrainingParity(t *testing.T) {
 				t.Errorf("coalescing disabled but %d batches flushed", flushes)
 			}
 		})
+	}
+
+	// At threshold 256 every edge coalesces. A warmed step then copies each
+	// member twice: the sender stages it into the batch, and the receiver
+	// copies it out of the batch slot. So each task's MemCopies grows by the
+	// members it sends plus the members it receives.
+	t.Run("coalesced copies", func(t *testing.T) {
+		cfg := base
+		cfg.Transfer.CoalesceThreshold = 256
+		cl, step := launchTransferTraining(t, cfg, psCount)
+		defer cl.Close()
+		want := make(map[string]int64)
+		for _, e := range cl.Result().Edges {
+			want[e.SrcTask]++
+			want[e.DstTask]++
+		}
+		if _, err := step(0); err != nil {
+			t.Fatal(err)
+		}
+		prev := cl.MetricsSnapshot()
+		for iter := 1; iter < 4; iter++ {
+			if _, err := step(iter); err != nil {
+				t.Fatal(err)
+			}
+			cur := cl.MetricsSnapshot()
+			for task, n := range want {
+				if got := cur[task].MemCopies - prev[task].MemCopies; got != n {
+					t.Errorf("step %d: %s copies grew by %d, want %d (members sent + received)", iter, task, got, n)
+				}
+			}
+			prev = cur
+		}
+	})
+}
+
+// TestCoalescedLostAckRetried drops one coalesced batch's reuse ack. The
+// receiver re-posts it from a backoff timer, so no goroutine waits on it
+// meanwhile, and the next warmed step completes inside its deadline.
+func TestCoalescedLostAckRetried(t *testing.T) {
+	cfg := Config{
+		Kind:        RDMA,
+		ArenaBytes:  1 << 20,
+		PollTimeout: 30 * time.Second,
+		Transfer: rdma.TransferOpts{
+			Deadline:          8 * time.Second,
+			CoalesceThreshold: 256, // every edge coalesces
+			// The retry waits out the step that lost the ack, so the stack
+			// dump below is taken with no step running. Nothing else in
+			// that step waits on a backoff: no fault but this one is
+			// injected, and every flush finds its slot acked (below).
+			Backoff: time.Second,
+		},
+	}
+	cl, step := launchTransferTraining(t, cfg, 1)
+	defer cl.Close()
+	for iter := 0; iter < 3; iter++ {
+		if _, err := step(iter); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Wait until every batch of step 2 is acked: no ack of an earlier step
+	// is left for the hook to drop, and no flush of step 3 finds its slot
+	// busy.
+	acked := func() bool {
+		for _, task := range cl.Result().Tasks {
+			for _, g := range cl.Server(task).Env.sendGroups {
+				if !g.sender.PollReusable() {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	for start := time.Now(); !acked(); time.Sleep(time.Millisecond) {
+		if time.Since(start) > cfg.Transfer.Deadline {
+			t.Fatal("step 2's batches were never acked")
+		}
+	}
+	// With every edge coalesced, the only flag-word writes are reuse acks.
+	var acks atomic.Int32
+	var stepDone atomic.Bool
+	retried := make(chan string, 1)
+	cl.Fabric().SetHooks(rdma.Hooks{TransferFault: func(op rdma.Op, size int) error {
+		if op != rdma.OpWrite || size != rdma.FlagWordSize {
+			return nil
+		}
+		if acks.Add(1) == 1 {
+			return fmt.Errorf("drop one batch ack: %w", rdma.ErrInjected)
+		}
+		if stepDone.Load() {
+			buf := make([]byte, 1<<20)
+			select {
+			case retried <- string(buf[:runtime.Stack(buf, true)]):
+			default:
+			}
+		}
+		return nil
+	}})
+	defer cl.Fabric().SetHooks(rdma.Hooks{})
+	if _, err := step(3); err != nil {
+		t.Fatalf("step that lost the ack: %v", err)
+	}
+	stepDone.Store(true)
+	select {
+	case stacks := <-retried:
+		if strings.Contains(stacks, "created by repro/internal/distributed.") {
+			t.Errorf("a distributed goroutine was alive while the ack was retried:\n%s", stacks)
+		}
+	case <-time.After(cfg.Transfer.Deadline):
+		t.Fatal("the lost ack was never re-posted")
+	}
+	start := time.Now()
+	if _, err := step(4); err != nil {
+		t.Fatalf("step after the lost ack: %v", err)
+	}
+	if d := time.Since(start); d > cfg.Transfer.Deadline {
+		t.Fatalf("step after the lost ack took %v (deadline %v)", d, cfg.Transfer.Deadline)
 	}
 }
 

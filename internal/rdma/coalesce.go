@@ -59,10 +59,17 @@ func (r *CoalescedReceiver) Messages() ([]wire.SubMsg, error) {
 // overwrite the slot until AckRetry posted the reuse ack.
 func (r *CoalescedReceiver) Consume() { r.slot.Consume() }
 
-// AckRetry posts the reuse ack into the sender's ack word, unblocking its
-// next FlushRetry. Call after Consume (and after copying any payloads out).
+// AckRetryAsync posts the reuse ack into the sender's ack word, unblocking
+// its next FlushRetry. Call after Consume (and after copying any payloads
+// out). fin fires once, from the ack's completion or its last retry, and may
+// fire before AckRetryAsync returns.
+func (r *CoalescedReceiver) AckRetryAsync(senderAck DynSlotDesc, opts TransferOpts, fin func(error)) {
+	r.slot.AckRetryAsync(r.source, r.ch, senderAck, opts, fin)
+}
+
+// AckRetry is AckRetryAsync waited on.
 func (r *CoalescedReceiver) AckRetry(senderAck DynSlotDesc, opts TransferOpts) error {
-	return await(func(fin func(error)) { r.slot.AckRetryAsync(r.source, r.ch, senderAck, opts, fin) })
+	return await(func(fin func(error)) { r.AckRetryAsync(senderAck, opts, fin) })
 }
 
 // CoalescedSender stages sub-messages for one peer's batch slot and flushes

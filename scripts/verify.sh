@@ -72,63 +72,69 @@ if [ "$(go env GOARCH)" = amd64 ]; then
 	echo "tensor.axpy1 loop head at $loophead"
 fi
 
+# Named gates: the tests the acceptance bar names, by package. go test
+# -race ./... above already ran every one of them, so they are not run
+# again here; the check after this list only proves each still exists, so
+# a renamed or deleted gate fails verify instead of silently dropping out
+# of the bar. A name is an anchored regular expression over the package's
+# go test -list output.
+declare -A gates=()
+gate() {
+	local pkg="$1"
+	shift
+	gates[$pkg]+=" $*"
+}
+
 # Crash-recovery and close/poll regression gates, including the edge-rebuild
 # region-leak check, a stalled lease ping refuted and replayed, and the
 # async retry engine's gates (no goroutine per in-flight transfer, one fin
 # under duplicate completions, a failed stripe read retried as a group,
-# cancel during backoff). go test -race ./... above
-# already runs these; naming them keeps the acceptance bar explicit even if
-# package filters change.
-echo "== recovery & close/poll regression gates (-race) =="
-go test -race -run '^TestRecoveryWorkerCrashBitIdentical$|^TestRecoveryRefutedSuspicionReplaysBitIdentical$|^TestHeartbeatDetectorExpiresAndResumes$|^TestLoadCheckpointRestoresRegisteredStorage$|^TestRebuildEdgesKeepsRegionCount$' ./internal/distributed/
-go test -race -run '^TestCloseMidTransferFailsFast$|^TestCloseMidStripedTransferFailsFast$|^TestClosePeerSeversThenRebuilds$|^TestAsyncTransfersHoldNoGoroutine$|^TestAsyncRetryDuplicateCompletionsFinOnce$|^TestAsyncFetchRetriesFailedStripe$|^TestAsyncCanceledDuringBackoffPostsNothing$' ./internal/rdma/
-go test -race -run '^TestPurePollingBoundedSpin$|^TestPollBackoffPreservesFairness$' ./internal/exec/
+# cancel during backoff, a lost coalesced batch ack retried without a
+# goroutine).
+gate ./internal/distributed/ TestRecoveryWorkerCrashBitIdentical TestRecoveryRefutedSuspicionReplaysBitIdentical TestHeartbeatDetectorExpiresAndResumes TestLoadCheckpointRestoresRegisteredStorage TestRebuildEdgesKeepsRegionCount TestCoalescedLostAckRetried
+gate ./internal/rdma/ TestCloseMidTransferFailsFast TestCloseMidStripedTransferFailsFast TestClosePeerSeversThenRebuilds TestAsyncTransfersHoldNoGoroutine TestAsyncRetryDuplicateCompletionsFinOnce TestAsyncFetchRetriesFailedStripe TestAsyncCanceledDuringBackoffPostsNothing
+gate ./internal/exec/ TestPurePollingBoundedSpin TestPollBackoffPreservesFairness
 
 # Allocation-free steady state: a hot allocation site reaches the policy
 # every iteration while cold ones are recycled, a warm Run's allocations do
 # not grow with the partition, concurrent Runs on one executor take turns,
 # and a warmed 2-worker PS step stays under its byte bound with unchanged
 # hot sites, zero-copy sends and ps/ring loss bits.
-echo "== allocation-free step gates (-race) =="
-go test -race -run '^TestRecycleSkipsHotSite$|^TestWarmRunAllocsIndependentOfNodeCount$|^TestConcurrentRunsSerialized$' ./internal/exec/
-go test -race -run '^TestSteadyStatePSStepAllocations$' ./internal/distributed/
+gate ./internal/exec/ TestRecycleSkipsHotSite TestWarmRunAllocsIndependentOfNodeCount TestConcurrentRunsSerialized
+gate ./internal/distributed/ TestSteadyStatePSStepAllocations
 
 # gRPC.RDMA ring transport gates: the ring suite on the static-slot engine
 # (fragmentation, per-slot reuse acks as credit, typed send timeouts under
 # drops, partitions and credit starvation), geometry validation, regions
 # freed on close, a lost last ack retried without a goroutine, and no
 # goroutine held per idle connection.
-echo "== ring transport gates (-race) =="
-go test -race -run '^TestRing|^TestLargeMessagesFragmented$|^TestManyMessagesOrdered$|^TestCloseUnblocksRecv$|^TestSenderMayReuseBuffer$|^TestSendRecvAllTransports$' ./internal/transport/
+gate ./internal/transport/ 'TestRing.*' TestLargeMessagesFragmented TestManyMessagesOrdered TestCloseUnblocksRecv TestSenderMayReuseBuffer TestSendRecvAllTransports
 
 # Observability gates: the Prometheus encoder golden file, the live obs
 # endpoint, and the metrics/trace/step-books consistency suite (including
-# its recovery-rebuild variant) must hold under the race detector.
-echo "== observability & consistency gates (-race) =="
-go test -race -run '^TestWritePromGolden$|^TestPromScrapeParsesAndIsConsistent$|^TestServerEndpoints$' ./internal/obs/
-go test -race -run '^TestMetricsTraceConsistency$|^TestObsConsistencySurvivesRecovery$' ./internal/distributed/
-go test -race -run '^TestHistogramConcurrentRecord$|^TestRecorderOverflowIsVisible$' ./internal/metrics/ ./internal/trace/
+# its recovery-rebuild variant).
+gate ./internal/obs/ TestWritePromGolden TestPromScrapeParsesAndIsConsistent TestServerEndpoints
+gate ./internal/distributed/ TestMetricsTraceConsistency TestObsConsistencySurvivesRecovery
+gate ./internal/metrics/ TestHistogramConcurrentRecord
+gate ./internal/trace/ TestRecorderOverflowIsVisible
 
 # Collective-plane gates: the comm package in full, topology parity (ring
 # and tree must produce the PS plane's exact bits across worker counts and
 # bucket geometries), and the ring under chaos — seeded faults retried to
 # identical bits, a mid-all-reduce crash recovered bit-identically.
-echo "== collective plane & topology parity gates (-race) =="
-go test -race ./internal/comm/
-go test -race -run '^TestTopologyParityMLP$|^TestTopologyParityWorkerSweep$|^TestSingleGradientModelTrainsAllTopologies$' ./internal/distributed/
-go test -race -run '^TestRingChaosBitIdenticalUnderFaults$|^TestRecoveryRingCrashBitIdentical$' ./internal/distributed/
+gate ./internal/comm/ 'Test.*'
+gate ./internal/distributed/ TestTopologyParityMLP TestTopologyParityWorkerSweep TestSingleGradientModelTrainsAllTopologies
+gate ./internal/distributed/ TestRingChaosBitIdenticalUnderFaults TestRecoveryRingCrashBitIdentical
 
 # Sharded-PS gates: shard/worker-sweep and hierarchical parity against the
 # single-PS bits, plus the sharded plane under chaos and crash recovery.
-echo "== sharded-PS parity & chaos gates (-race) =="
-go test -race -run '^TestShardedPSParityShardWorkerSweep$|^TestShardedPSHierarchicalParity$|^TestShardedPSParityBucketSizes$' ./internal/distributed/
-go test -race -run '^TestShardedPSChaosBitIdenticalUnderFaults$|^TestRecoveryShardedPSCrashBitIdentical$' ./internal/distributed/
+gate ./internal/distributed/ TestShardedPSParityShardWorkerSweep TestShardedPSHierarchicalParity TestShardedPSParityBucketSizes
+gate ./internal/distributed/ TestShardedPSChaosBitIdenticalUnderFaults TestRecoveryShardedPSCrashBitIdentical
 
 # Pipelined-stripe gates: the copy-overlapped send path must stay
 # bit-identical to the staged path, keep per-lane doorbell batching on the
 # staged path, and heal injected drops by re-staging the same bytes.
-echo "== pipelined stripe & doorbell batch gates (-race) =="
-go test -race -run '^TestSendRetryFromParity$|^TestSendRetryDoorbellBatchesPerLane$|^TestSendRetryFromRecoversFromDrops$|^TestMemcpyBatchValidatesBeforePosting$' ./internal/rdma/
+gate ./internal/rdma/ TestSendRetryFromParity TestSendRetryDoorbellBatchesPerLane TestSendRetryFromRecoversFromDrops TestMemcpyBatchValidatesBeforePosting
 
 # QP-scale & lossy-fabric gates: the 256-task netsim budget check (muxed
 # wiring within explicit per-task QP state and setup-time budgets that
@@ -138,11 +144,10 @@ go test -race -run '^TestSendRetryFromParity$|^TestSendRetryDoorbellBatchesPerLa
 # retransmit, a blackholed tensor failing typed and bounded, and a
 # mid-loss step abort never leaking a retransmitted chunk into a later
 # iteration.
-echo "== QP-scale & lossy-fabric gates (-race) =="
-go test -run '^TestScale256TaskQPBudgets$' ./internal/netsim/
-go test -race -run '^Test64TaskMuxTrainingUnderRace$|^TestMuxTrainingParity$' ./internal/distributed/
-go test -race -run '^TestLossyTrainingBitIdentical$|^TestLossyTensorBlackholeFailsTyped$|^TestLossyStepAbortThenRecover$' ./internal/distributed/
-go test -race -run '^TestQPBusyRetriesDoNotBurnRetryBudget$' ./internal/rdma/
+gate ./internal/netsim/ TestScale256TaskQPBudgets
+gate ./internal/distributed/ Test64TaskMuxTrainingUnderRace TestMuxTrainingParity
+gate ./internal/distributed/ TestLossyTrainingBitIdentical TestLossyTensorBlackholeFailsTyped TestLossyStepAbortThenRecover
+gate ./internal/rdma/ TestQPBusyRetriesDoNotBurnRetryBudget
 
 # Serving-plane gates: the zero-copy weight-publication protocol proven
 # under the race detector. Staleness bound — no replica serves weights more
@@ -159,13 +164,29 @@ go test -race -run '^TestQPBusyRetriesDoNotBurnRetryBudget$' ./internal/rdma/
 # crash/readmission cycle through the lease detector, the QP-mux sever-race
 # regression, the histogram torn-snapshot fixes, the netsim million-user
 # model, and the trainer-flag validation matrix.
-echo "== serving plane gates (-race) =="
-go test -race -run '^TestStalenessBoundUnderLoad$|^TestPublishBitIdentical$|^TestTrainerCrashMidPublication$|^TestPublishRetriesTransientFault$|^TestReleasedBankFlagClearBeforeAck$|^TestOverloadShed$|^TestPublisherBankHeldTimeout$|^TestReplicaRestartReadmission$|^TestDispatchWaitsForStagedReplica$|^TestParallelDispatchAcrossReplicas$' ./internal/serve/
-go test -race -run '^TestServingFleetCrashRecovery$|^TestServingFleetOverload$' ./internal/distributed/
-go test -race -run '^TestQPMuxSeverRace$' ./internal/rdma/
-go test -race -run '^TestQuantileTornSnapshot$|^TestQuantileEdgeCases$|^TestMergeFamiliesUnion$' ./internal/metrics/
-go test -run '^TestServeModelMillionUsers$|^TestServeStalenessThroughputTradeoff$' ./internal/netsim/
-go test -race -run '^TestValidateFlags$' ./cmd/rdmadl-train/
+gate ./internal/serve/ TestStalenessBoundUnderLoad TestPublishBitIdentical TestTrainerCrashMidPublication TestPublishRetriesTransientFault TestReleasedBankFlagClearBeforeAck TestOverloadShed TestPublisherBankHeldTimeout TestReplicaRestartReadmission TestDispatchWaitsForStagedReplica TestParallelDispatchAcrossReplicas
+gate ./internal/distributed/ TestServingFleetCrashRecovery TestServingFleetOverload
+gate ./internal/rdma/ TestQPMuxSeverRace
+gate ./internal/metrics/ TestQuantileTornSnapshot TestQuantileEdgeCases TestMergeFamiliesUnion
+gate ./internal/netsim/ TestServeModelMillionUsers TestServeStalenessThroughputTradeoff
+gate ./cmd/rdmadl-train/ TestValidateFlags
+
+echo "== named gates exist =="
+missing=0
+set -f # the names are regular expressions, not file globs
+for pkg in "${!gates[@]}"; do
+	listed="$(go test -list . "$pkg")"
+	for name in ${gates[$pkg]}; do
+		if ! grep -qxE -- "$name" <<<"$listed"; then
+			echo "missing gate: $pkg $name"
+			missing=1
+		fi
+	done
+done
+set +f
+if ((missing)); then
+	exit 1
+fi
 
 # Fuzz smoke: each target gets a short budget. The engine accepts one
 # -fuzz pattern per invocation, so loop explicitly.
